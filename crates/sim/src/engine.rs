@@ -21,7 +21,7 @@ use crate::device::{Device, DeviceKind};
 use crate::equeue::{bound_key, pack, unpack_time, EventQueue};
 use crate::error::{ensure, Result, SimError};
 use crate::fault::{FaultPlan, FaultState, RecoveryPolicy};
-use crate::metrics::{FaultMetrics, LatencyStats, SimMetrics};
+use crate::metrics::{latency_key, FaultMetrics, LatencyStats, SimMetrics};
 use crate::parallel::derive_seed;
 use crate::time::SimTime;
 use crate::trace::{FrozenTrace, SampleBank};
@@ -215,7 +215,7 @@ enum ThreadState {
 
 /// A thread's pending work items: a flat buffer with a consume cursor.
 ///
-/// `RequestSampler::draw_into` refills `buf` in place (clearing without
+/// `RequestSampler::expand` refills `buf` in place (cleared without
 /// shrinking) and the cursor walks forward, so the common case touches
 /// no ring-buffer wrap arithmetic — `pop_front` is an indexed load plus
 /// an increment. The only front insertion is the Sync-OS wake-up charge,
@@ -251,8 +251,8 @@ impl WorkQueue {
 }
 
 /// One worker thread. Both queues retain their allocations for the
-/// whole run: `items` is refilled in place by `RequestSampler::draw_into`
-/// (which clears without shrinking), and `pickups` only ever pops what it
+/// whole run: `items` is cleared and refilled in place by
+/// `RequestSampler::expand`, and `pickups` only ever pops what it
 /// pushed — neither reallocates after warm-up.
 #[derive(Debug)]
 struct Thread {
@@ -446,9 +446,9 @@ pub struct Simulator {
     slab: RequestSlab,
     completed: u64,
     completed_failed: u64,
-    latencies: Vec<f64>,
-    /// Scratch for the percentile sort, reused across `reset` cycles.
-    lat_keys: Vec<u64>,
+    /// Completed-request latencies as total-order keys
+    /// ([`latency_key`]); `finish` sorts them in place.
+    latencies: Vec<u64>,
     core_busy: f64,
     offloads: u64,
     suppressed: u64,
@@ -565,7 +565,6 @@ impl Simulator {
             completed: 0,
             completed_failed: 0,
             latencies: Vec::new(),
-            lat_keys: Vec::new(),
             core_busy: 0.0,
             offloads: 0,
             suppressed: 0,
@@ -592,10 +591,10 @@ impl Simulator {
 
     /// Rebuilds the engine for `cfg` while keeping every heap
     /// allocation acquired so far — the request slab, thread work
-    /// queues, event heap, latency samples, and percentile scratch are
-    /// cleared in place rather than freed. Sweeps (`loadsweep`,
-    /// `faultsweep`) and sharded runs drive many config points through
-    /// one engine this way instead of rebuilding per point.
+    /// queues, event heap, sample bank, and latency keys are cleared in
+    /// place rather than freed. Sweeps (`loadsweep`, `faultsweep`) and
+    /// sharded runs drive many config points through one engine this way
+    /// instead of rebuilding per point.
     ///
     /// The reset engine is observationally identical to
     /// `Simulator::try_new(cfg)` — same RNG stream, same event order,
@@ -1208,7 +1207,7 @@ impl Simulator {
         let request = self.slab.alloc(start);
         self.live_requests += 1;
         self.peak_live_requests = self.peak_live_requests.max(self.live_requests);
-        // Copy the next pre-drawn request into the thread's (drained)
+        // Expand the next pre-drawn request into the thread's (drained)
         // item buffer so its allocation is reused request after request.
         // Disjoint field borrows keep the sampler, RNG, bank, and buffer
         // independent. Priority: adopted frozen trace, then the bank
@@ -1227,7 +1226,7 @@ impl Simulator {
         match trace {
             Some((frozen, next)) => {
                 queue.buf.clear();
-                queue.buf.extend_from_slice(frozen.request(*next));
+                sampler.expand(frozen.request(*next), &mut queue.buf);
                 *next += 1;
                 *trace_replayed += 1;
                 // Prefix exhausted: continue live drawing from the RNG
@@ -1266,7 +1265,7 @@ impl Simulator {
         self.completed += 1;
         self.completed_failed += u64::from(self.slab.flags[request] & FAILED != 0);
         self.live_requests -= 1;
-        self.latencies.push(end - self.slab.start[request]);
+        self.latencies.push(latency_key(end - self.slab.start[request]));
         self.slab.retire(request);
     }
 
@@ -1288,7 +1287,7 @@ impl Simulator {
             horizon_cycles: horizon,
             completed_requests: self.completed,
             throughput_per_gcycle: self.completed as f64 / horizon * 1e9,
-            latency: LatencyStats::from_samples_scratch(&self.latencies, &mut self.lat_keys),
+            latency: LatencyStats::from_keys(&mut self.latencies),
             core_utilization: self.core_busy / (self.cfg.cores as f64 * horizon),
             offloads_dispatched: self.offloads,
             offloads_suppressed: self.suppressed,
@@ -1383,7 +1382,8 @@ impl Simulator {
 pub(crate) struct ShardOutput {
     pub completed: u64,
     pub completed_failed: u64,
-    pub latencies: Vec<f64>,
+    /// Latencies as total-order keys ([`latency_key`]), unsorted.
+    pub latencies: Vec<u64>,
     pub core_busy: f64,
     pub offloads: u64,
     pub suppressed: u64,

@@ -78,7 +78,7 @@ pub use loadsweep::{
     ConcurrencySweep, LoadPoint,
 };
 pub use engine::{EngineStats, OffloadConfig, SimConfig, Simulator};
-pub use metrics::{FaultMetrics, LatencyStats, SimMetrics};
+pub use metrics::{latency_key, FaultMetrics, LatencyStats, SimMetrics};
 pub use parallel::{derive_seed, run_batch, run_replicas, ExecPool};
 pub use shard::{
     default_shards, run_sharded, run_sharded_instrumented, run_sharded_traced,

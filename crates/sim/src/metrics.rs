@@ -27,44 +27,49 @@ impl LatencyStats {
     }
 
     /// [`from_samples`](Self::from_samples) without the defensive copy:
-    /// takes ownership of the sample buffer (the engine hands over its
-    /// latency vector at the end of a run).
-    ///
-    /// The statistics are *bit-identical* to the original
-    /// clone-and-`sort_by(total_cmp)` implementation: samples are mapped
-    /// through the monotone total-order bit transform (the same order
-    /// `f64::total_cmp` defines) and the `u64` keys are sorted with the
-    /// branchless integer `sort_unstable`, which measures 1.7–2× faster
-    /// than both the comparison sort it replaced and an LSD radix sort
-    /// at every realistic sample count (10k–1M). Producing the full
-    /// ascending order — rather than `select_nth_unstable_by`
-    /// partitions — matters for exactness: the mean is a sequential f64
-    /// fold over the *sorted* sequence, and any other summation order
-    /// could round differently in the last ulp, which the golden-output
-    /// tests would flag as drift.
+    /// takes ownership of the sample buffer and maps it to total-order
+    /// keys ([`latency_key`]) in place — `f64` and `u64` share a layout,
+    /// so the collect reuses the allocation — before
+    /// [`from_keys`](Self::from_keys) sorts it.
     #[must_use]
     pub fn from_samples_owned(samples: Vec<f64>) -> Self {
-        let mut keys = Vec::new();
-        let stats = Self::from_samples_scratch(&samples, &mut keys);
-        drop(samples);
-        stats
+        let mut keys: Vec<u64> = samples.into_iter().map(latency_key).collect();
+        Self::from_keys(&mut keys)
     }
 
-    /// [`from_samples_owned`](Self::from_samples_owned) with a reusable
-    /// key buffer: `keys` is cleared, refilled, and left allocated for
-    /// the caller's next run. The engine's `reset` path threads one
-    /// scratch vector through every sweep iteration so the percentile
-    /// computation stops allocating per config point. Statistics are
-    /// bit-identical to the owned path (same transform, same sort, same
-    /// fold order).
+    /// [`from_samples`](Self::from_samples) with a reusable key buffer:
+    /// `keys` is cleared, refilled with the samples' total-order keys,
+    /// sorted in place by [`from_keys`](Self::from_keys), and left
+    /// allocated for the caller's next call. Bit-identical to the owned
+    /// path. Callers that can record keys directly (the engine does, as
+    /// each request completes) skip the `f64` buffer and call `from_keys`.
     #[must_use]
     pub fn from_samples_scratch(samples: &[f64], keys: &mut Vec<u64>) -> Self {
-        if samples.is_empty() {
+        keys.clear();
+        keys.extend(samples.iter().map(|&x| latency_key(x)));
+        Self::from_keys(keys)
+    }
+
+    /// Summarizes samples recorded as total-order keys
+    /// ([`latency_key`]), sorting `keys` in place (it is left ascending).
+    ///
+    /// The statistics are *bit-identical* to the original
+    /// clone-and-`sort_by(total_cmp)` implementation: the key transform
+    /// is monotone in the order `f64::total_cmp` defines, and the `u64`
+    /// keys are sorted with the branchless integer `sort_unstable`,
+    /// which measures 1.7–2× faster than both the comparison sort it
+    /// replaced and an LSD radix sort at every realistic sample count
+    /// (10k–1M). Producing the full ascending order — rather than
+    /// `select_nth_unstable_by` partitions — matters for exactness: the
+    /// mean is a sequential f64 fold over the *sorted* sequence, and any
+    /// other summation order could round differently in the last ulp,
+    /// which the golden-output tests would flag as drift.
+    #[must_use]
+    pub fn from_keys(keys: &mut [u64]) -> Self {
+        let n = keys.len();
+        if n == 0 {
             return Self::default();
         }
-        let n = samples.len();
-        keys.clear();
-        keys.extend(samples.iter().map(|&x| total_order_key(x)));
         keys.sort_unstable();
         let mut sum = 0.0;
         for &k in keys.iter() {
@@ -77,7 +82,7 @@ impl LatencyStats {
             p50: pick(0.50),
             p95: pick(0.95),
             p99: pick(0.99),
-            max: key_to_f64(*keys.last().expect("non-empty")),
+            max: key_to_f64(keys[n - 1]),
         }
     }
 }
@@ -85,9 +90,11 @@ impl LatencyStats {
 /// Maps an `f64` to a `u64` whose unsigned order equals
 /// [`f64::total_cmp`]'s total order (IEEE-754 totalOrder): negative
 /// floats have all bits flipped, non-negative floats have the sign bit
-/// set. Bijective, so [`key_to_f64`] recovers the exact input bits.
+/// set. Bijective, so the exact input bits are recoverable. This is the
+/// form [`LatencyStats::from_keys`] summarizes.
 #[inline]
-fn total_order_key(x: f64) -> u64 {
+#[must_use]
+pub fn latency_key(x: f64) -> u64 {
     let bits = x.to_bits();
     if bits >> 63 == 1 {
         !bits
@@ -96,7 +103,7 @@ fn total_order_key(x: f64) -> u64 {
     }
 }
 
-/// Exact inverse of [`total_order_key`].
+/// Exact inverse of [`latency_key`].
 #[inline]
 fn key_to_f64(key: u64) -> f64 {
     if key >> 63 == 1 {
@@ -339,7 +346,7 @@ mod tests {
     }
 
     #[test]
-    fn total_order_key_round_trips_and_orders() {
+    fn latency_key_round_trips_and_orders() {
         let values = [
             0.0_f64,
             -0.0,
@@ -352,12 +359,12 @@ mod tests {
             f64::NEG_INFINITY,
         ];
         for &v in &values {
-            assert_eq!(key_to_f64(total_order_key(v)).to_bits(), v.to_bits());
+            assert_eq!(key_to_f64(latency_key(v)).to_bits(), v.to_bits());
         }
         for &a in &values {
             for &b in &values {
                 assert_eq!(
-                    total_order_key(a).cmp(&total_order_key(b)),
+                    latency_key(a).cmp(&latency_key(b)),
                     a.total_cmp(&b),
                     "{a} vs {b}"
                 );

@@ -10,18 +10,26 @@
 //! of the event loop, and across sweep grids computed once instead of
 //! once per point, without changing a single output byte.
 //!
-//! Two levels:
+//! Both levels store *raw draws*, not work items: per request, the
+//! fixed stride of `kernels_per_request + 1` `f64`s that
+//! [`RequestSampler::draw_raw`] writes (the host chunk, then one byte
+//! count per kernel). The engine expands request `i` with
+//! [`RequestSampler::expand`] straight into the thread's item buffer
+//! when it begins the request. A raw request costs `8·(k + 1)` bytes
+//! against `24·(2k + 1)` for its expanded `WorkItem`s plus an offset per
+//! request, so a one-kernel trace shrinks from 80 to 16 bytes per
+//! request.
 //!
-//! 1. **[`SampleBank`]** (per engine): refills blocks of pre-drawn
-//!    requests in one tight loop, so the monomorphized `advance` loop
-//!    consumes plain data instead of interleaving `StdRng`/`ln`/quantile
-//!    calls with event handling. Same values in the same order; it is
-//!    also the adapter that lets a [`FrozenTrace`] feed the engine and
-//!    resume live drawing when the prefix runs out. Shard engines fill
-//!    their banks independently from their decorrelated seeds. (On the
-//!    1-core dev container the bank alone is a measured 2–4% *loss* on
-//!    the engine microbenches — see `EXPERIMENTS.md`; level 2 is where
-//!    the sampling tax is actually paid down.)
+//! 1. **[`SampleBank`]** (per engine): refills blocks of raw draws in
+//!    one tight loop, so the monomorphized `advance` loop consumes plain
+//!    data instead of interleaving `StdRng`/`ln`/quantile calls with
+//!    event handling. Same values in the same order; it is also what
+//!    the engine falls back to when an adopted [`FrozenTrace`] runs out.
+//!    Shard engines fill their banks independently from their
+//!    decorrelated seeds. (On the 1-core dev container the bank alone
+//!    is a measured 2–4% *loss* on the engine microbenches — see
+//!    `EXPERIMENTS.md`; level 2 is where the sampling tax is actually
+//!    paid down.)
 //! 2. **[`FrozenTrace`]** (per seed × workload, behind `Arc`): an
 //!    immutable pre-drawn request prefix plus the RNG state *after* the
 //!    prefix. Sweep runners draw it once and install it at every grid
@@ -49,9 +57,11 @@ use crate::workload::{RequestSampler, WorkItem, WorkloadSpec};
 /// middle.
 const BANK_BLOCK: usize = 64;
 
-/// Upper bound on a frozen trace's request count (~56 MB at the typical
-/// 3 items per request). Runs that need more fall back to banked live
-/// drawing after the prefix — correct, just less amortized.
+/// Upper bound on a frozen trace's request count. Each request holds
+/// `8·(k + 1)` bytes for `k = kernels_per_request`, so a full trace is
+/// 16 MB at the typical one kernel per request. Runs that need more fall
+/// back to banked live drawing after the prefix — correct, just less
+/// amortized.
 const MAX_TRACE_REQUESTS: usize = 1 << 20;
 
 /// Process-wide switch for cross-point trace reuse in sweep runners
@@ -75,22 +85,17 @@ pub fn trace_reuse_enabled() -> bool {
     TRACE_REUSE.load(Ordering::Relaxed)
 }
 
-/// A block of pre-drawn requests owned by one engine (level 1).
+/// A block of pre-drawn raw requests owned by one engine (level 1).
 ///
-/// Each request lives in its own buffer; popping swaps the pre-drawn
-/// buffer with the consumer's (returning the consumer's old allocation
-/// to the bank for the next refill), so the per-request cost is three
-/// pointer-word swaps — no copy, no bounds arithmetic. The refill loop
-/// consumes the engine RNG in exactly the order per-request drawing
-/// would, so popping request `i` yields bit-identical items to drawing
-/// it inline.
+/// The refill loop consumes the engine RNG in exactly the order
+/// per-request drawing would, so popping request `i` yields
+/// bit-identical items to drawing it inline.
 #[derive(Debug, Clone)]
 pub(crate) struct SampleBank {
-    bufs: Vec<Vec<WorkItem>>,
-    /// Index of the next un-popped request in `bufs`.
+    /// `filled` requests' raw draws, one stride each.
+    raw: Vec<f64>,
+    /// Offset of the next un-popped request in `raw`.
     next: usize,
-    /// Number of valid pre-drawn requests in `bufs` (0 after a clear).
-    filled: usize,
     /// Requests per refill (testable; [`BANK_BLOCK`] by default).
     block: usize,
     /// Refills performed since the last [`clear`](Self::clear) —
@@ -101,20 +106,19 @@ pub(crate) struct SampleBank {
 impl SampleBank {
     pub(crate) fn new() -> Self {
         Self {
-            bufs: Vec::new(),
+            raw: Vec::new(),
             next: 0,
-            filled: 0,
             block: BANK_BLOCK,
             refills: 0,
         }
     }
 
-    /// Drops all buffered requests (keeping allocations) so the next pop
-    /// refills from the current RNG state. Must be called on engine
+    /// Drops all buffered requests (keeping the allocation) so the next
+    /// pop refills from the current RNG state. Must be called on engine
     /// reset: buffered draws belong to the old stream.
     pub(crate) fn clear(&mut self) {
+        self.raw.clear();
         self.next = 0;
-        self.filled = 0;
         self.refills = 0;
     }
 
@@ -132,8 +136,8 @@ impl SampleBank {
         self.clear();
     }
 
-    /// Pops the next pre-drawn request by swapping its buffer with
-    /// `out`, refilling the bank from `rng` when empty.
+    /// Expands the next pre-drawn request into `out` (cleared first),
+    /// refilling the bank from `rng` when empty.
     #[inline(always)]
     pub(crate) fn pop_into(
         &mut self,
@@ -141,27 +145,25 @@ impl SampleBank {
         rng: &mut StdRng,
         out: &mut Vec<WorkItem>,
     ) {
-        if self.next == self.filled {
+        if self.next == self.raw.len() {
             self.refill(sampler, rng);
         }
-        std::mem::swap(out, &mut self.bufs[self.next]);
-        self.next += 1;
+        let end = self.next + sampler.raw_stride();
+        out.clear();
+        sampler.expand(&self.raw[self.next..end], out);
+        self.next = end;
     }
 
-    /// The tight loop: `block` consecutive requests drawn with nothing
-    /// between the draws but a buffer-slot step. Buffers returned by
-    /// earlier swaps are redrawn in place, so steady state allocates
-    /// nothing.
+    /// The tight loop: `block` consecutive raw draws with nothing
+    /// between them. The buffer keeps its allocation, so steady state
+    /// allocates nothing.
     #[cold]
     fn refill(&mut self, sampler: &RequestSampler, rng: &mut StdRng) {
-        if self.bufs.len() < self.block {
-            self.bufs.resize_with(self.block, Vec::new);
-        }
-        for buf in &mut self.bufs[..self.block] {
-            sampler.draw_into(rng, buf);
+        self.raw.clear();
+        for _ in 0..self.block {
+            sampler.draw_raw(rng, &mut self.raw);
         }
         self.next = 0;
-        self.filled = self.block;
         self.refills += 1;
     }
 }
@@ -172,8 +174,8 @@ impl SampleBank {
 pub struct FrozenTrace {
     seed: u64,
     workload: WorkloadSpec,
-    items: Vec<WorkItem>,
-    ends: Vec<usize>,
+    /// Raw draws, [`stride`](Self::stride) `f64`s per request.
+    raw: Vec<f64>,
     /// The RNG state after drawing the prefix: a run that consumes more
     /// requests than the trace holds continues live drawing from here,
     /// bit-identical to a run that never had the trace.
@@ -189,17 +191,14 @@ impl FrozenTrace {
         let sampler = workload.sampler();
         let mut rng = StdRng::seed_from_u64(seed);
         let requests = requests.min(MAX_TRACE_REQUESTS);
-        let mut items = Vec::new();
-        let mut ends = Vec::with_capacity(requests);
+        let mut raw = Vec::with_capacity(requests * sampler.raw_stride());
         for _ in 0..requests {
-            sampler.draw_append(&mut rng, &mut items);
-            ends.push(items.len());
+            sampler.draw_raw(&mut rng, &mut raw);
         }
         Self {
             seed,
             workload: workload.clone(),
-            items,
-            ends,
+            raw,
             resume_rng: rng,
         }
     }
@@ -242,27 +241,48 @@ impl FrozenTrace {
         self.seed
     }
 
+    /// The `f64`s one request occupies: `kernels_per_request + 1`, as
+    /// in [`RequestSampler::raw_stride`].
+    fn stride(&self) -> usize {
+        self.workload.kernels_per_request + 1
+    }
+
     /// Number of pre-drawn requests.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.ends.len()
+        self.raw.len() / self.stride()
     }
 
     /// Whether the trace holds no requests.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.ends.is_empty()
+        self.raw.is_empty()
     }
 
-    /// The `i`-th pre-drawn request's work items.
-    pub(crate) fn request(&self, i: usize) -> &[WorkItem] {
-        let start = if i == 0 { 0 } else { self.ends[i - 1] };
-        &self.items[start..self.ends[i]]
+    /// Heap bytes held by the pre-drawn prefix: exactly
+    /// `len × (kernels_per_request + 1)` `f64`s, with no growth slack.
+    #[must_use]
+    pub fn footprint_bytes(&self) -> usize {
+        self.raw.capacity() * std::mem::size_of::<f64>()
+    }
+
+    /// The `i`-th pre-drawn request's raw draw, as
+    /// [`RequestSampler::draw_raw`] wrote it; expand it with
+    /// [`RequestSampler::expand`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.len()`.
+    #[must_use]
+    pub fn request(&self, i: usize) -> &[f64] {
+        let stride = self.stride();
+        &self.raw[i * stride..(i + 1) * stride]
     }
 
     /// The RNG state after the prefix, for the live-drawing
     /// continuation.
-    pub(crate) fn resume_rng(&self) -> &StdRng {
+    #[must_use]
+    pub fn resume_rng(&self) -> &StdRng {
         &self.resume_rng
     }
 }
@@ -430,9 +450,13 @@ mod tests {
         let spec = workload(2);
         let trace = FrozenTrace::draw(77, &spec, 40);
         assert_eq!(trace.len(), 40);
+        let sampler = spec.sampler();
         let mut rng = StdRng::seed_from_u64(77);
+        let mut items = Vec::new();
         for i in 0..trace.len() {
-            assert_eq!(spec.draw_request(&mut rng).as_slice(), trace.request(i));
+            items.clear();
+            sampler.expand(trace.request(i), &mut items);
+            assert_eq!(spec.draw_request(&mut rng), items);
         }
         assert_eq!(&rng, trace.resume_rng());
     }

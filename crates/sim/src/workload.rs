@@ -70,7 +70,7 @@ impl WorkloadSpec {
     /// kernel invocations so offloads interleave with useful work, which
     /// is what lets asynchronous designs overlap.
     ///
-    /// Implemented on top of [`RequestSampler::draw_into`] (the
+    /// Implemented on top of [`RequestSampler::draw_append`] (the
     /// inverse-CDF sampler is proven bit-identical to the linear-scan
     /// quantile), so there is exactly one copy of the host-cycles/`ln`
     /// draw logic. Convenient for one-off draws; repeated draws should
@@ -78,13 +78,13 @@ impl WorkloadSpec {
     #[must_use]
     pub fn draw_request(&self, rng: &mut StdRng) -> Vec<WorkItem> {
         let mut items = Vec::with_capacity(2 * self.kernels_per_request + 1);
-        self.sampler().draw_into(rng, &mut items);
+        self.sampler().draw_append(rng, &mut items);
         items
     }
 
     /// Builds a [`RequestSampler`] for repeated draws: the granularity
-    /// inverse-CDF is precomputed once, and requests can be drawn into a
-    /// reusable buffer instead of a fresh `Vec` each time.
+    /// inverse-CDF is precomputed once, and raw draws can be written into
+    /// a reusable buffer instead of a fresh `Vec` each time.
     #[must_use]
     pub fn sampler(&self) -> RequestSampler {
         RequestSampler {
@@ -116,30 +116,51 @@ pub struct RequestSampler {
 }
 
 impl RequestSampler {
-    /// Draws one request's work items into `out`, clearing it first.
-    /// The buffer's allocation is reused across requests.
-    pub fn draw_into(&self, rng: &mut StdRng, out: &mut Vec<WorkItem>) {
-        out.clear();
-        self.draw_append(rng, out);
+    /// Number of `f64`s one request's raw draw occupies: the host chunk,
+    /// then one byte count per kernel.
+    #[must_use]
+    pub fn raw_stride(&self) -> usize {
+        self.kernels_per_request + 1
     }
 
     /// Draws one request's work items, appending to `out` without
-    /// clearing. This is the single copy of the draw logic: per request,
-    /// one uniform for the exponential host total (split into
-    /// `kernels_per_request + 1` chunks) followed by one uniform per
-    /// kernel granularity. Trace banks use it to pack many requests into
-    /// one flat buffer in a single tight loop.
+    /// clearing: [`draw_raw`](Self::draw_raw) then
+    /// [`expand`](Self::expand). Allocates a raw scratch buffer per call;
+    /// repeated draws go through `draw_raw` into a reused buffer.
     pub fn draw_append(&self, rng: &mut StdRng, out: &mut Vec<WorkItem>) {
-        let start = out.len();
+        let mut raw = Vec::with_capacity(self.raw_stride());
+        self.draw_raw(rng, &mut raw);
+        self.expand(&raw, out);
+    }
+
+    /// Draws one request's raw values, appending exactly
+    /// [`raw_stride`](Self::raw_stride) `f64`s to `out`: the host chunk
+    /// (the exponential host total split into `kernels_per_request + 1`
+    /// equal chunks), then one granularity in bytes per kernel. This is
+    /// the single copy of the draw logic: one uniform for the host
+    /// total, then one uniform per kernel, in that order.
+    pub fn draw_raw(&self, rng: &mut StdRng, out: &mut Vec<f64>) {
         let u: f64 = rng.gen_range(0.0..1.0);
         let host_total = -((1.0 - u).ln()) * self.non_kernel_cycles;
-        let chunks = self.kernels_per_request + 1;
-        let host_chunk = host_total / chunks as f64;
+        out.push(host_total / self.raw_stride() as f64);
         for _ in 0..self.kernels_per_request {
+            out.push(self.quantile.quantile(rng.gen_range(0.0..1.0)).get());
+        }
+    }
+
+    /// Expands one request's raw draw (as written by
+    /// [`draw_raw`](Self::draw_raw)) into work items, appending to `out`:
+    /// host chunks surround the kernels, a non-positive chunk is
+    /// omitted, and a request that would otherwise be empty becomes
+    /// `Host(1.0)`.
+    pub fn expand(&self, raw: &[f64], out: &mut Vec<WorkItem>) {
+        debug_assert_eq!(raw.len(), self.raw_stride());
+        let start = out.len();
+        let (&host_chunk, kernels) = raw.split_first().expect("a raw draw is never empty");
+        for &bytes in kernels {
             if host_chunk > 0.0 {
                 out.push(WorkItem::Host(host_chunk));
             }
-            let bytes = self.quantile.quantile(rng.gen_range(0.0..1.0)).get();
             out.push(WorkItem::Kernel { bytes });
         }
         if host_chunk > 0.0 {
@@ -328,7 +349,8 @@ mod tests {
         let mut buf = Vec::new();
         for _ in 0..5_000 {
             let reference = reference_draw(&spec, &mut rng_a);
-            sampler.draw_into(&mut rng_b, &mut buf);
+            buf.clear();
+            sampler.draw_append(&mut rng_b, &mut buf);
             assert_eq!(reference, buf);
             assert_eq!(reference, spec.draw_request(&mut rng_c));
         }

@@ -13,12 +13,14 @@ use accelerometer::exec::ExecPool;
 use accelerometer::units::cycles_per_byte;
 use accelerometer::{AccelerationStrategy, DriverMode, GranularityCdf, ThreadingDesign};
 use accelerometer_sim::fault::{DegradationWindow, FaultPlan, RecoveryPolicy};
-use accelerometer_sim::workload::WorkloadSpec;
+use accelerometer_sim::workload::{WorkItem, WorkloadSpec};
 use accelerometer_sim::{
     run_sharded, run_sharded_traced, DeviceKind, EngineStats, FrozenTrace, OffloadConfig,
     SimConfig, Simulator, TraceStore,
 };
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Strips the sampling-provenance counters, which report which pipeline
 /// level supplied each request and so differ by construction between
@@ -46,6 +48,24 @@ fn workload_strategy() -> impl Strategy<Value = WorkloadSpec> {
             ])
             .expect("valid CDF"),
             cycles_per_byte: cycles_per_byte(cb),
+        })
+}
+
+/// Workloads for the raw-trace equivalence: raw strides of 1, 2, 4 and
+/// 10 `f64`s, and a zero host mean, which makes every host chunk 0 (with
+/// no kernels, the `Host(1.0)` placeholder).
+fn raw_workload_strategy() -> impl Strategy<Value = WorkloadSpec> {
+    (
+        prop_oneof![Just(0.0), 1.0..20_000.0_f64],
+        prop::sample::select(vec![0usize, 1, 3, 9]),
+        64.0..4_096.0_f64,
+    )
+        .prop_map(|(non_kernel, kernels, scale)| WorkloadSpec {
+            non_kernel_cycles: non_kernel,
+            kernels_per_request: kernels,
+            granularity: GranularityCdf::from_points(vec![(scale, 0.5), (scale * 16.0, 1.0)])
+                .expect("valid CDF"),
+            cycles_per_byte: cycles_per_byte(1.0),
         })
 }
 
@@ -118,6 +138,36 @@ fn config(
         }),
         fault,
         recovery,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A frozen trace stores raw draws; expanding request `i` must give
+    /// exactly the `i`-th `draw_request`, and the resume RNG must be the
+    /// direct RNG after the prefix.
+    #[test]
+    fn raw_trace_expands_to_direct_draws(
+        workload in raw_workload_strategy(),
+        requests in 0usize..300,
+        seed in 0u64..1_000,
+    ) {
+        let trace = FrozenTrace::draw(seed, &workload, requests);
+        prop_assert_eq!(trace.len(), requests);
+        let sampler = workload.sampler();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut items = Vec::new();
+        for i in 0..trace.len() {
+            items.clear();
+            sampler.expand(trace.request(i), &mut items);
+            let direct = workload.draw_request(&mut rng);
+            prop_assert_eq!(&items, &direct, "request {}", i);
+            if workload.non_kernel_cycles == 0.0 && workload.kernels_per_request == 0 {
+                prop_assert_eq!(&items, &vec![WorkItem::Host(1.0)]);
+            }
+        }
+        prop_assert_eq!(&rng, trace.resume_rng());
     }
 }
 
@@ -249,4 +299,25 @@ fn mismatched_traces_are_rejected() {
     assert!(sim.reset_with_trace(cfg.clone(), Some(wrong_seed)).is_err());
     let right = Arc::new(FrozenTrace::for_config(&cfg));
     assert!(sim.reset_with_trace(cfg, Some(right)).is_ok());
+}
+
+/// A frozen trace holds exactly `len × (k + 1)` `f64`s — the host chunk
+/// plus one byte count per kernel — with no growth slack.
+#[test]
+fn trace_footprint_is_one_stride_of_f64_per_request() {
+    for kernels in [0usize, 1, 3, 9] {
+        let workload = WorkloadSpec {
+            non_kernel_cycles: 4_000.0,
+            kernels_per_request: kernels,
+            granularity: GranularityCdf::from_points(vec![(512.0, 1.0)]).unwrap(),
+            cycles_per_byte: cycles_per_byte(2.0),
+        };
+        let trace = FrozenTrace::draw(3, &workload, 1_000);
+        assert_eq!(trace.len(), 1_000);
+        assert_eq!(
+            trace.footprint_bytes(),
+            1_000 * (kernels + 1) * std::mem::size_of::<f64>(),
+            "kernels {kernels}"
+        );
+    }
 }

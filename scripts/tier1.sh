@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
 # Tier-1 gate: everything a PR must keep green.
-#   build + full test suite + clippy (deny warnings) + a --jobs smoke run.
+#   build + full test suite + clippy (deny warnings) + smoke runs +
+#   the benchmark's self-test.
 # Usage: scripts/tier1.sh   (from the repo root)
 # Opt-in: BENCH_REGRESS=1 additionally runs scripts/bench_regress.sh
 # (off by default — shared-container wall clock is too noisy to block
@@ -108,6 +109,12 @@ cmp "$out_dir/faults_sharded_expected.json" "$out_dir/faults_svc_sharded.json"
 cmp "$out_dir/tables_builtin.txt" "$out_dir/tables_svc.txt"
 ./target/release/tables --services configs/services table6 > "$out_dir/t6_svc.txt"
 cmp "$out_dir/j1.txt" "$out_dir/t6_svc.txt"
+
+echo "== benchmark self-test: perfbench builds against the public API and checks itself =="
+# perfbench is a separate package (its own empty [workspace]) that calls
+# the simulator's public entry points by path; building and self-testing
+# it here turns a break in any API it uses into a tier-1 failure.
+cargo test --offline --manifest-path perfbench/Cargo.toml
 
 if [ "${BENCH_REGRESS:-0}" = "1" ]; then
     echo "== bench regression gate (opt-in) =="
