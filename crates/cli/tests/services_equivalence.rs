@@ -14,11 +14,12 @@
 //! ```
 
 use std::fs;
-use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use accelerometer_cli::run;
-use accelerometer_fleet::set_active_registry;
+use accelerometer_fleet::{profile, set_active_registry, ServiceId, ServiceRegistry};
+use accelerometer_profiler::TraceGenerator;
 
 /// Serializes every test in this binary: `--services` installs a
 /// process-wide registry, and the builtin sides of each comparison must
@@ -100,6 +101,30 @@ fn project_and_characterize_are_byte_identical_through_the_data_path() {
     let (builtin, data) =
         run_both_paths(&["characterize", "cache1", "--samples", "4000"]);
     assert_eq!(builtin, data);
+}
+
+#[test]
+fn generated_traces_are_identical_through_the_data_path() {
+    // The generator resolves its IPC and symbol tables once, when it is
+    // built, so the registry installed at that moment decides every
+    // trace. Compare whole traces, instructions included: the rendered
+    // characterization shows only one-decimal shares.
+    let _guard = lock();
+    set_active_registry(None);
+    let builtin: Vec<_> = ServiceId::ALL
+        .into_iter()
+        .map(|id| TraceGenerator::new(profile(id), 7).generate(2_000))
+        .collect();
+    let registry = ServiceRegistry::load_path(Path::new(&services_dir())).expect("shipped packs load");
+    set_active_registry(Some(Arc::new(registry)));
+    let data: Vec<_> = ServiceId::ALL
+        .into_iter()
+        .map(|id| TraceGenerator::new(profile(id), 7).generate(2_000))
+        .collect();
+    set_active_registry(None);
+    for ((id, builtin), data) in ServiceId::ALL.into_iter().zip(&builtin).zip(&data) {
+        assert!(builtin == data, "{id}: traces depend on the profile source");
+    }
 }
 
 #[test]

@@ -7,7 +7,6 @@
 //! we determine the ratio of aggregated instruction and cycle counts for
 //! functions in that category").
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use accelerometer_fleet::{Breakdown, FunctionalityCategory, LeafCategory, MemoryOp};
@@ -90,7 +89,33 @@ impl ProfileReport {
     }
 }
 
+/// Per-category `(cycles, instructions)` sums, indexed by the category's
+/// position in its `ALL` list; `None` for a category no trace landed in.
+type Sums<const N: usize> = [Option<(f64, f64)>; N];
+
+fn accumulate(slot: &mut Option<(f64, f64)>, trace: &CallTrace) {
+    let (cycles, instructions) = slot.get_or_insert((0.0, 0.0));
+    *cycles += trace.cycles;
+    *instructions += trace.instructions;
+}
+
+/// The present categories of `sums`, in `all` order, mapped by `f`.
+fn emit<C: Copy, T, const N: usize>(
+    all: &[C],
+    sums: &Sums<N>,
+    f: impl Fn(f64, f64) -> T,
+) -> Vec<(C, T)> {
+    all.iter()
+        .zip(sums)
+        .filter_map(|(&c, s)| s.map(|(cy, ins)| (c, f(cy, ins))))
+        .collect()
+}
+
 /// Aggregates a trace sample into a [`ProfileReport`].
+///
+/// Every per-category sum is accumulated in trace order, and the memory
+/// total in [`MemoryOp::ALL`] order, so the report is reproducible to the
+/// last bit.
 ///
 /// # Panics
 ///
@@ -98,61 +123,39 @@ impl ProfileReport {
 #[must_use]
 pub fn analyze(traces: &[CallTrace], registry: &FunctionRegistry) -> ProfileReport {
     assert!(!traces.is_empty(), "cannot analyze an empty trace sample");
-    let mut leaf_cycles: HashMap<LeafCategory, (f64, f64)> = HashMap::new();
-    let mut func_cycles: HashMap<FunctionalityCategory, (f64, f64)> = HashMap::new();
-    let mut memory_op_cycles: HashMap<MemoryOp, f64> = HashMap::new();
+    // The category enums are fieldless and declared in `ALL` order, so a
+    // category's discriminant is its index (pinned by a unit test).
+    let mut leaf_sums: Sums<{ LeafCategory::ALL.len() }> = [None; LeafCategory::ALL.len()];
+    let mut func_sums: Sums<{ FunctionalityCategory::ALL.len() }> =
+        [None; FunctionalityCategory::ALL.len()];
+    let mut memory_sums: Sums<{ MemoryOp::ALL.len() }> = [None; MemoryOp::ALL.len()];
     let mut total_cycles = 0.0;
 
     for trace in traces {
-        let leaf = registry.tag_leaf(trace.leaf());
-        let functionality = registry.bucket_root(trace.root());
-        let l = leaf_cycles.entry(leaf).or_insert((0.0, 0.0));
-        l.0 += trace.cycles;
-        l.1 += trace.instructions;
-        let f = func_cycles.entry(functionality).or_insert((0.0, 0.0));
-        f.0 += trace.cycles;
-        f.1 += trace.instructions;
+        accumulate(&mut leaf_sums[registry.tag_leaf(trace.leaf()) as usize], trace);
+        accumulate(&mut func_sums[registry.bucket_root(trace.root()) as usize], trace);
         if let Some(op) = registry.tag_memory_op(trace.leaf()) {
-            *memory_op_cycles.entry(op).or_insert(0.0) += trace.cycles;
+            accumulate(&mut memory_sums[op as usize], trace);
         }
         total_cycles += trace.cycles;
     }
 
-    let leaf_entries: Vec<(LeafCategory, f64)> = LeafCategory::ALL
-        .iter()
-        .filter_map(|&c| leaf_cycles.get(&c).map(|(cy, _)| (c, 100.0 * cy / total_cycles)))
-        .collect();
-    let func_entries: Vec<(FunctionalityCategory, f64)> = FunctionalityCategory::ALL
-        .iter()
-        .filter_map(|&c| func_cycles.get(&c).map(|(cy, _)| (c, 100.0 * cy / total_cycles)))
-        .collect();
-    let leaf_ipc = LeafCategory::ALL
-        .iter()
-        .filter_map(|&c| leaf_cycles.get(&c).map(|(cy, ins)| (c, ins / cy)))
-        .collect();
-    let functionality_ipc = FunctionalityCategory::ALL
-        .iter()
-        .filter_map(|&c| func_cycles.get(&c).map(|(cy, ins)| (c, ins / cy)))
-        .collect();
-    let memory_total: f64 = memory_op_cycles.values().sum();
+    let share = |cy: f64, _| 100.0 * cy / total_cycles;
+    let ipc = |cy: f64, ins: f64| ins / cy;
+    let memory_total: f64 = memory_sums.iter().flatten().map(|(cy, _)| cy).sum();
     let memory_ops = if memory_total > 0.0 {
-        MemoryOp::ALL
-            .iter()
-            .filter_map(|&op| {
-                memory_op_cycles
-                    .get(&op)
-                    .map(|cy| (op, 100.0 * cy / memory_total))
-            })
-            .collect()
+        emit(MemoryOp::ALL, &memory_sums, |cy, _| 100.0 * cy / memory_total)
     } else {
         Vec::new()
     };
 
     ProfileReport {
-        leaf: Breakdown::complete(leaf_entries).expect("cycle shares sum to 100"),
-        functionality: Breakdown::complete(func_entries).expect("cycle shares sum to 100"),
-        leaf_ipc,
-        functionality_ipc,
+        leaf: Breakdown::complete(emit(LeafCategory::ALL, &leaf_sums, share))
+            .expect("cycle shares sum to 100"),
+        functionality: Breakdown::complete(emit(FunctionalityCategory::ALL, &func_sums, share))
+            .expect("cycle shares sum to 100"),
+        leaf_ipc: emit(LeafCategory::ALL, &leaf_sums, ipc),
+        functionality_ipc: emit(FunctionalityCategory::ALL, &func_sums, ipc),
         memory_ops,
         total_cycles,
         samples: traces.len(),
@@ -230,6 +233,60 @@ mod tests {
         // No memory samples → empty sub-breakdown.
         let io_only = analyze(&[trace("svc::io::y", "tcp_sendmsg", 10.0, 0.4)], &registry());
         assert!(io_only.memory_ops.is_empty());
+    }
+
+    #[test]
+    fn memory_op_shares_are_summed_in_all_order() {
+        // Per-op cycles whose f64 total depends on the summation order.
+        let cycles = [
+            ("memcpy", 651.6),
+            ("free", 788.7),
+            ("malloc", 93.9),
+            ("memmove", 28.3),
+            ("memset", 835.8),
+            ("memcmp", 432.8),
+        ];
+        let traces: Vec<CallTrace> = cycles
+            .iter()
+            .map(|&(leaf, cy)| trace("svc::app::x", leaf, cy, 1.0))
+            .collect();
+        let report = analyze(&traces, &registry());
+
+        let per_op: Vec<(MemoryOp, f64)> = MemoryOp::ALL
+            .iter()
+            .map(|&op| {
+                let cy = cycles
+                    .iter()
+                    .find(|(leaf, _)| registry().tag_memory_op(leaf) == Some(op))
+                    .unwrap()
+                    .1;
+                (op, cy)
+            })
+            .collect();
+        let mut total = 0.0;
+        for (_, cy) in &per_op {
+            total += cy;
+        }
+        let reversed: f64 = per_op.iter().rev().map(|(_, cy)| cy).sum();
+        assert_ne!(total.to_bits(), reversed.to_bits(), "order must matter here");
+        assert_eq!(report.memory_ops.len(), MemoryOp::ALL.len());
+        for ((op, pct), (want_op, cy)) in report.memory_ops.iter().zip(&per_op) {
+            assert_eq!(op, want_op);
+            assert_eq!(pct.to_bits(), (100.0 * cy / total).to_bits(), "{op:?}");
+        }
+    }
+
+    #[test]
+    fn category_discriminants_index_their_all_lists() {
+        for (i, &c) in LeafCategory::ALL.iter().enumerate() {
+            assert_eq!(c as usize, i);
+        }
+        for (i, &c) in FunctionalityCategory::ALL.iter().enumerate() {
+            assert_eq!(c as usize, i);
+        }
+        for (i, &c) in MemoryOp::ALL.iter().enumerate() {
+            assert_eq!(c as usize, i);
+        }
     }
 
     #[test]

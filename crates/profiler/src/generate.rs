@@ -46,12 +46,78 @@ pub fn leaf_ipc(service: ServiceId, category: LeafCategory, generation: CpuGener
     default_leaf_ipc(category)
 }
 
+/// The three intermediate frames a sample may carry, outermost first; a
+/// sample of depth `d` uses the first `d`.
+const LAYER_FRAMES: [&str; 3] = [
+    "rpc::layer_0::dispatch",
+    "rpc::layer_1::dispatch",
+    "rpc::layer_2::dispatch",
+];
+
+/// A breakdown resolved for sampling: its entries in breakdown order,
+/// each carrying what a sample needs once it is drawn, and the total
+/// weight precomputed by the same left-to-right sum a draw would make.
+#[derive(Debug)]
+struct Weighted<T> {
+    entries: Vec<(T, f64)>,
+    total: f64,
+}
+
+impl<T> Weighted<T> {
+    fn new<C>(breakdown: impl Iterator<Item = (C, f64)>, mut resolve: impl FnMut(C) -> T) -> Self {
+        let entries: Vec<(T, f64)> = breakdown.map(|(c, w)| (resolve(c), w)).collect();
+        let total = entries.iter().map(|(_, w)| w).sum();
+        Self { entries, total }
+    }
+
+    /// Draws an entry with probability proportional to its weight.
+    ///
+    /// The walk subtracts each weight from the drawn point in turn. A
+    /// prefix-sum table with a binary search would compare the point
+    /// against rounded partial sums instead, which moves points that land
+    /// within an ulp of a bucket boundary into the neighbouring bucket; the
+    /// tables are at most a dozen entries long, so the walk costs little
+    /// and keeps every trace bit-identical.
+    fn pick(&self, rng: &mut StdRng) -> &T {
+        let mut point = rng.gen_range(0.0..self.total);
+        for (item, w) in &self.entries {
+            if point < *w {
+                return item;
+            }
+            point -= w;
+        }
+        &self.entries.last().expect("non-empty breakdown").0
+    }
+}
+
+/// A leaf category resolved for sampling.
+#[derive(Debug)]
+struct Leaf {
+    category: LeafCategory,
+    /// Representative symbols, sorted; empty for Memory, whose symbol
+    /// comes from the service's memory-op mix instead.
+    symbols: Vec<&'static str>,
+    /// The category's IPC on the generator's CPU generation.
+    ipc: f64,
+}
+
 /// The synthetic sampler.
+///
+/// Everything a sample needs is resolved once, when the generator is
+/// built: the functionality, leaf and memory-op weight tables, the sorted
+/// symbol list of every leaf category and memory operation, the root frame
+/// of every functionality, and the per-leaf IPC, which is read from the
+/// service registry active at that moment (and re-read by
+/// [`on_generation`](Self::on_generation)). Installing a different
+/// registry afterwards does not affect an existing generator. A sample
+/// then only draws from the RNG and indexes those tables.
 #[derive(Debug)]
 pub struct TraceGenerator {
-    profile: ServiceProfile,
+    service: ServiceId,
     registry: FunctionRegistry,
-    generation: CpuGeneration,
+    roots: Weighted<String>,
+    leaves: Weighted<Leaf>,
+    memory_ops: Weighted<Vec<&'static str>>,
     mean_cycles: f64,
     rng: StdRng,
 }
@@ -60,19 +126,41 @@ impl TraceGenerator {
     /// Creates a deterministic generator for a service on GenC hardware.
     #[must_use]
     pub fn new(profile: ServiceProfile, seed: u64) -> Self {
+        let registry = FunctionRegistry::with_defaults();
+        let generation = CpuGeneration::GenC;
+        let roots = Weighted::new(profile.functionality.iter(), |f: FunctionalityCategory| {
+            format!("{}handle_request", registry.root_prefix(f))
+        });
+        let leaves = Weighted::new(profile.leaves.iter(), |category| Leaf {
+            category,
+            symbols: if category == LeafCategory::Memory {
+                Vec::new()
+            } else {
+                registry.leaf_symbols(category)
+            },
+            ipc: leaf_ipc(profile.id, category, generation),
+        });
+        let memory_ops = Weighted::new(profile.memory_ops.iter(), |op: MemoryOp| {
+            registry.memory_symbols(op)
+        });
         Self {
-            profile,
-            registry: FunctionRegistry::with_defaults(),
-            generation: CpuGeneration::GenC,
+            service: profile.id,
+            registry,
+            roots,
+            leaves,
+            memory_ops,
             mean_cycles: 1_000.0,
             rng: StdRng::seed_from_u64(seed),
         }
     }
 
-    /// Overrides the CPU generation (for the IPC-scaling studies).
+    /// Overrides the CPU generation (for the IPC-scaling studies),
+    /// re-reading the per-leaf IPC from the active registry.
     #[must_use]
     pub fn on_generation(mut self, generation: CpuGeneration) -> Self {
-        self.generation = generation;
+        for (leaf, _) in &mut self.leaves.entries {
+            leaf.ipc = leaf_ipc(self.service, leaf.category, generation);
+        }
         self
     }
 
@@ -82,61 +170,36 @@ impl TraceGenerator {
         &self.registry
     }
 
-    fn pick_weighted<C: Copy>(rng: &mut StdRng, entries: &[(C, f64)]) -> C {
-        let total: f64 = entries.iter().map(|(_, w)| w).sum();
-        let mut point = rng.gen_range(0.0..total);
-        for (cat, w) in entries {
-            if point < *w {
-                return *cat;
-            }
-            point -= w;
-        }
-        entries.last().expect("non-empty breakdown").0
-    }
-
     /// Generates one sampled call trace.
+    ///
+    /// The RNG is consumed in a fixed order: functionality, leaf
+    /// category, memory operation (Memory leaves only), symbol, depth,
+    /// cycle weight.
     pub fn sample(&mut self) -> CallTrace {
-        let functionality: FunctionalityCategory = {
-            let entries: Vec<(FunctionalityCategory, f64)> =
-                self.profile.functionality.iter().collect();
-            Self::pick_weighted(&mut self.rng, &entries)
-        };
-        let leaf_category: LeafCategory = {
-            let entries: Vec<(LeafCategory, f64)> = self.profile.leaves.iter().collect();
-            Self::pick_weighted(&mut self.rng, &entries)
-        };
-
-        let root = format!(
-            "{}handle_request",
-            self.registry.root_prefix(functionality)
-        );
+        let rng = &mut self.rng;
+        let root = self.roots.pick(rng);
+        let leaf = self.leaves.pick(rng);
         // Memory leaves honor the service's Fig. 3 operation mix so the
         // analyzer can reconstruct the memory-op sub-breakdown; other
         // categories pick a representative symbol uniformly.
-        let leaf = if leaf_category == LeafCategory::Memory {
-            let entries: Vec<(MemoryOp, f64)> = self.profile.memory_ops.iter().collect();
-            let op = Self::pick_weighted(&mut self.rng, &entries);
-            let symbols = self.registry.memory_symbols(op);
-            symbols[self.rng.gen_range(0..symbols.len())].to_owned()
+        let symbols = if leaf.category == LeafCategory::Memory {
+            self.memory_ops.pick(rng)
         } else {
-            let symbols = self.registry.leaf_symbols(leaf_category);
-            symbols[self.rng.gen_range(0..symbols.len())].to_owned()
+            &leaf.symbols
         };
+        let symbol = symbols[rng.gen_range(0..symbols.len())];
 
         // A few plausible intermediate frames.
-        let depth = self.rng.gen_range(1..=3);
+        let depth: usize = rng.gen_range(1..=3);
         let mut frames = Vec::with_capacity(depth + 2);
-        frames.push(root);
-        for d in 0..depth {
-            frames.push(format!("rpc::layer_{d}::dispatch"));
-        }
-        frames.push(leaf);
+        frames.push(root.clone());
+        frames.extend(LAYER_FRAMES[..depth].iter().map(|&f| f.to_owned()));
+        frames.push(symbol.to_owned());
 
         // Exponential cycle weight; IPC model supplies instructions.
-        let u: f64 = self.rng.gen_range(0.0..1.0);
+        let u: f64 = rng.gen_range(0.0..1.0);
         let cycles = -((1.0 - u).ln()) * self.mean_cycles;
-        let ipc = leaf_ipc(self.profile.id, leaf_category, self.generation);
-        CallTrace::new(frames, cycles, cycles * ipc)
+        CallTrace::new(frames, cycles, cycles * leaf.ipc)
     }
 
     /// Generates a batch of samples.

@@ -96,8 +96,10 @@ impl FunctionRegistry {
             .map_or(FunctionalityCategory::Miscellaneous, |(_, cat)| *cat)
     }
 
-    /// Representative leaf symbols for a category (used by the trace
-    /// generator).
+    /// Representative leaf symbols for a category, sorted.
+    ///
+    /// Walks the whole symbol map, so the trace generator calls it only
+    /// when it is built, never per sample.
     #[must_use]
     pub fn leaf_symbols(&self, category: LeafCategory) -> Vec<&'static str> {
         let mut symbols: Vec<&'static str> = self
@@ -125,8 +127,11 @@ impl FunctionRegistry {
         }
     }
 
-    /// Representative symbols for a memory operation (used by the trace
-    /// generator to honor a service's Fig. 3 mix).
+    /// Representative symbols for a memory operation, sorted (the trace
+    /// generator uses them to honor a service's Fig. 3 mix).
+    ///
+    /// Walks the whole symbol map, so the trace generator calls it only
+    /// when it is built, never per sample.
     #[must_use]
     pub fn memory_symbols(&self, op: MemoryOp) -> Vec<&'static str> {
         let mut symbols: Vec<&'static str> = self

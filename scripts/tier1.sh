@@ -110,6 +110,24 @@ cmp "$out_dir/tables_builtin.txt" "$out_dir/tables_svc.txt"
 ./target/release/tables --services configs/services table6 > "$out_dir/t6_svc.txt"
 cmp "$out_dir/j1.txt" "$out_dir/t6_svc.txt"
 
+echo "== characterize smoke: every pack's folded stacks are identical through --services =="
+# The trace generator resolves its IPC and symbol tables once, when it is
+# built; each pack's collapsed stacks must not depend on whether its
+# profile came from the builtins or from configs/services.
+for slug in web feed1 feed2 ads1 ads2 cache1 cache2 cache3 ai-inference kvstore pqc; do
+    ./target/release/accelctl characterize "$slug" --folded > "$out_dir/folded_builtin.txt"
+    ./target/release/accelctl --services configs/services characterize "$slug" --folded > "$out_dir/folded_svc.txt"
+    cmp "$out_dir/folded_builtin.txt" "$out_dir/folded_svc.txt"
+done
+
+echo "== characterize bound: an out-of-range --samples is a structured error (exit 1) =="
+status=0
+./target/release/accelctl characterize web --samples 1e18 > /dev/null 2>&1 || status=$?
+if [ "$status" -ne 1 ]; then
+    echo "characterize --samples 1e18: expected exit 1, got $status"
+    exit 1
+fi
+
 echo "== benchmark self-test: perfbench builds against the public API and checks itself =="
 # perfbench is a separate package (its own empty [workspace]) that calls
 # the simulator's public entry points by path; building and self-testing
