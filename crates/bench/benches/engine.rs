@@ -14,8 +14,8 @@ use accelerometer::{AccelerationStrategy, DriverMode, GranularityCdf, ThreadingD
 use accelerometer_sim::parallel::ExecPool;
 use accelerometer_sim::workload::WorkloadSpec;
 use accelerometer_sim::{
-    concurrency_sweep_with, set_trace_reuse, DeviceKind, FrozenTrace, LatencyStats,
-    OffloadConfig, SimConfig, Simulator,
+    concurrency_sweep_with, DeviceKind, FrozenTrace, LatencyStats, OffloadConfig, SimConfig,
+    Simulator,
 };
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::StdRng;
@@ -129,11 +129,9 @@ fn bench_load_sweep(c: &mut Criterion) {
 }
 
 /// Cross-point trace reuse at sweep scale: an 8-point concurrency sweep
-/// with frozen-trace reuse off (every grid point redraws the identical
-/// workload stream) versus on (one draw per sweep, points copy from the
-/// shared trace). The `trace/draw_prefix` row measures the one-time
-/// sampling cost itself, so `(off − on) / draw_prefix` reads as "how
-/// many per-point redraws reuse eliminated".
+/// that draws its workload stream once and replays it at every grid
+/// point. The `trace/draw_prefix` row measures that one-time sampling
+/// cost itself.
 fn bench_sweep_reuse(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine/sweep8");
     let mut cfg = base_config();
@@ -142,11 +140,6 @@ fn bench_sweep_reuse(c: &mut Criterion) {
     let counts = [2usize, 3, 4, 6, 8, 12, 16, 24];
     group.throughput(Throughput::Elements(counts.len() as u64));
     let pool = ExecPool::new(1);
-    set_trace_reuse(false);
-    group.bench_function("reuse_off", |b| {
-        b.iter(|| concurrency_sweep_with(&pool, black_box(&cfg), &counts))
-    });
-    set_trace_reuse(true);
     group.bench_function("reuse_on", |b| {
         b.iter(|| concurrency_sweep_with(&pool, black_box(&cfg), &counts))
     });

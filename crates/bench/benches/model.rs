@@ -89,8 +89,9 @@ fn bench_sweep(c: &mut Criterion) {
             Scenario::new(params, ThreadingDesign::Sync, AccelerationStrategy::OffChip)
         })
         .collect();
+    let pool = accelerometer::exec::ExecPool::new(accelerometer::exec::available_jobs());
     c.bench_function("model/estimate_batch_256_parallel", |b| {
-        b.iter(|| sweep::estimate_batch(black_box(&scenarios)))
+        b.iter(|| sweep::estimate_batch_with(&pool, black_box(&scenarios)))
     });
 }
 

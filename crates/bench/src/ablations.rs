@@ -141,16 +141,10 @@ pub struct QueueingAblationRow {
     pub simulated_percent: f64,
 }
 
-/// Runs the queueing ablation: a single-server off-chip device shared by
-/// four cores, swept across device speeds.
-#[must_use]
-pub fn queueing_sensitivity(seed: u64) -> Vec<QueueingAblationRow> {
-    queueing_sensitivity_with(&ExecPool::default(), seed)
-}
-
-/// [`queueing_sensitivity`] with an explicit worker pool: each device
-/// speed is an independent seeded A/B experiment, so rows are identical
-/// at any pool width and stay in sweep order.
+/// Runs the queueing ablation on `pool`: a single-server off-chip device
+/// shared by four cores, swept across device speeds. Each device speed
+/// is an independent seeded A/B experiment, so rows are identical at any
+/// pool width and stay in sweep order.
 #[must_use]
 pub fn queueing_sensitivity_with(pool: &ExecPool, seed: u64) -> Vec<QueueingAblationRow> {
     let workload = WorkloadSpec {
@@ -242,16 +236,10 @@ pub struct PoolDepthRow {
     pub core_utilization: f64,
 }
 
-/// Runs the Sync-OS pool-depth ablation against a high-latency (remote)
-/// accelerator; the model's prediction is depth-independent and returned
-/// alongside.
-#[must_use]
-pub fn pool_depth(seed: u64) -> (f64, Vec<PoolDepthRow>) {
-    pool_depth_with(&ExecPool::default(), seed)
-}
-
-/// [`pool_depth`] with an explicit worker pool; rows stay in depth order
-/// and are identical at any pool width.
+/// Runs the Sync-OS pool-depth ablation on `pool` against a high-latency
+/// (remote) accelerator; the model's prediction is depth-independent and
+/// returned alongside. Rows stay in depth order and are identical at any
+/// pool width.
 #[must_use]
 pub fn pool_depth_with(pool: &ExecPool, seed: u64) -> (f64, Vec<PoolDepthRow>) {
     let workload = WorkloadSpec {
@@ -361,9 +349,10 @@ pub fn prior_model_comparison() -> Vec<PriorModelRow> {
         .collect()
 }
 
-/// Renders all three ablations as text.
+/// Renders all three ablations as text, running their A/B experiments
+/// on `pool`.
 #[must_use]
-pub fn render_all(seed: u64) -> String {
+pub fn render_all(pool: &ExecPool, seed: u64) -> String {
     let mut out = String::new();
 
     let a = alpha_weighting(seed);
@@ -399,7 +388,7 @@ pub fn render_all(seed: u64) -> String {
          executed offload; the paper's count-weighted rule under-projects here.\n\n",
     );
 
-    let rows: Vec<Vec<String>> = queueing_sensitivity(seed)
+    let rows: Vec<Vec<String>> = queueing_sensitivity_with(pool, seed)
         .into_iter()
         .map(|r| {
             vec![
@@ -423,7 +412,7 @@ pub fn render_all(seed: u64) -> String {
          (open-loop M/M/1 estimates over-correct badly for closed-loop hosts).\n\n",
     );
 
-    let (model_percent, rows) = pool_depth(seed);
+    let (model_percent, rows) = pool_depth_with(pool, seed);
     let rows: Vec<Vec<String>> = rows
         .into_iter()
         .map(|r| {
@@ -496,7 +485,7 @@ mod tests {
 
     #[test]
     fn queueing_gap_grows_with_load_and_measured_q_recovers_it() {
-        let rows = queueing_sensitivity(78);
+        let rows = queueing_sensitivity_with(&ExecPool::new(2), 78);
         assert_eq!(rows.len(), 4);
         // Utilization rises as the device slows.
         assert!(rows.last().unwrap().device_utilization > rows[0].device_utilization);
@@ -518,7 +507,7 @@ mod tests {
 
     #[test]
     fn deep_pools_converge_to_the_model() {
-        let (model_percent, rows) = pool_depth(79);
+        let (model_percent, rows) = pool_depth_with(&ExecPool::new(2), 79);
         // Shallow pools miss the model badly...
         let shallow = rows.first().unwrap();
         assert!(
@@ -568,7 +557,7 @@ mod tests {
 
     #[test]
     fn render_includes_findings() {
-        let text = render_all(80);
+        let text = render_all(&ExecPool::new(2), 80);
         assert!(text.contains("Ablation 1"));
         assert!(text.contains("Ablation 2"));
         assert!(text.contains("Ablation 3"));

@@ -5,7 +5,7 @@ use accelerometer_fleet::params::all_recommendations;
 use accelerometer_fleet::{
     all_case_studies, FunctionalityCategory, LeafCategory, ALL_PLATFORMS, FINDINGS,
 };
-use accelerometer_sim::validate_all;
+use accelerometer_sim::{validate_all_with, ExecPool};
 
 use crate::render::table;
 
@@ -15,16 +15,16 @@ pub const TABLE_IDS: [&str; 7] = [
 ];
 
 /// Renders one table by identifier. `table6` runs the simulator's A/B
-/// validation (deterministic, seeded).
+/// validation on `pool` (deterministic, seeded: identical at any width).
 #[must_use]
-pub fn render_table(id: &str) -> Option<String> {
+pub fn render_table(pool: &ExecPool, id: &str) -> Option<String> {
     Some(match id {
         "table1" => table1(),
         "table2" => table2(),
         "table3" => table3(),
         "table4" => table4(),
         "table5" => table5(),
-        "table6" => table6(),
+        "table6" => table6(pool),
         "table7" => table7(),
         _ => return None,
     })
@@ -121,9 +121,9 @@ fn table5() -> String {
     )
 }
 
-fn table6() -> String {
+fn table6(pool: &ExecPool) -> String {
     let mut rows = Vec::new();
-    let validations = validate_all(20_260_706);
+    let validations = validate_all_with(pool, 20_260_706);
     for (study, validation) in all_case_studies().iter().zip(&validations) {
         let p = &study.scenario.params;
         let ovh = p.overheads();
@@ -199,11 +199,12 @@ mod tests {
     fn every_table_renders() {
         // table6 runs the simulator; keep it out of the cheap loop.
         for id in TABLE_IDS.iter().filter(|id| **id != "table6") {
-            let text = render_table(id).unwrap_or_else(|| panic!("{id} missing"));
+            let text =
+                render_table(&ExecPool::new(1), id).unwrap_or_else(|| panic!("{id} missing"));
             assert!(text.contains("=="), "{id} lacks a title");
             assert!(text.lines().count() > 4, "{id} too short");
         }
-        assert!(render_table("table99").is_none());
+        assert!(render_table(&ExecPool::new(1), "table99").is_none());
     }
 
     #[test]
@@ -241,7 +242,7 @@ mod tests {
 
     #[test]
     fn table6_runs_the_ab_validation() {
-        let text = table6();
+        let text = table6(&ExecPool::new(2));
         assert!(text.contains("aes-ni"));
         assert!(text.contains("inference"));
         assert!(text.contains("max model-vs-simulated error"));

@@ -29,21 +29,32 @@
 //!   budget and name the dominant performance bound;
 //! * `accelctl slo <config.json> [--min-reduction R]` — latency-SLO
 //!   guardrails: tolerable L, n, and required A per scenario;
-//! * `accelctl tables <id|all>` — regenerate the paper's tables;
+//! * `accelctl tables <id ...|all>` — regenerate the paper's tables;
+//! * `accelctl figures [id ...|all] [--json]` — regenerate the paper's
+//!   figures (and the extra `design-space` heatmap);
+//! * `accelctl ablations [--seed N]` — run the three modeling ablations;
 //! * `accelctl services list|validate <path>|export <dir>` — inspect,
 //!   check, or regenerate the data-driven service profiles under
 //!   `configs/services/`.
 //!
-//! The global `--services <dir|file>` flag loads service profiles from
-//! JSON and routes every command through them instead of the built-in
+//! Global flags are parsed once, ahead of the command: `--jobs N` builds
+//! the worker pool every pool-backed command is handed, and the global
+//! `--services <dir|file>` flag loads service profiles from JSON and
+//! routes every command through them instead of the built-in
 //! constructors — byte-identically for the shipped files, which the
-//! golden equivalence suite pins.
+//! golden equivalence suite pins. Whole-number flags (`--jobs`,
+//! `--shards`, `--seed`, `--points`, `--samples`) are parsed as integers
+//! within stated bounds; anything else is a structured error.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
 use std::fs;
+use std::ops::RangeInclusive;
+use std::path::Path;
+use std::str::FromStr;
+use std::sync::Arc;
 
 use accelerometer::units::cycles_per_byte;
 use accelerometer::{
@@ -51,35 +62,33 @@ use accelerometer::{
     ConfigFile, Cycles, DriverMode, KernelCost, LatencySlo, OffloadContext, OffloadOverheads,
     Scenario, ThreadingDesign, Timeline, TimelineSpec,
 };
+use accelerometer_bench::{design_space, figure, figure_json, FIGURE_IDS, TABLE_IDS};
 use accelerometer_fleet::params::all_recommendations;
 use accelerometer_fleet::{
-    active_registry, all_case_studies, profile, ServiceId, ServiceRegistry,
+    active_registry, all_case_studies, profile, set_active_registry, ServiceId, ServiceRegistry,
 };
 use accelerometer_kernels::dispatch;
 use accelerometer_profiler::{analyze, to_folded, TraceGenerator};
 use accelerometer_sim::faultsweep::demo_scenario;
+use accelerometer_sim::parallel::available_jobs;
 use accelerometer_sim::{
-    run_fault_sweep, set_default_shards, set_trace_reuse, simulate, validate_all,
-    validate_fallback, Calibrator, FaultScenario, SimError, CASE_STUDY_NAMES,
+    run_fault_sweep_with, set_default_shards, simulate, validate_all_with, validate_fallback_with,
+    Calibrator, ExecPool, FaultScenario, SimError, CASE_STUDY_NAMES,
 };
 
 /// Top-level usage text.
-pub const USAGE: &str = "usage: accelctl [--jobs N] [--shards N] [--trace-reuse on|off] [--isa scalar|auto] [--services <dir|file>] <command> [args]
+pub const USAGE: &str = "usage: accelctl [--jobs N] [--shards N] [--isa scalar|auto] [--services <dir|file>] <command> [args]
 global flags:
-  --jobs N                        worker threads for independent runs
-                                  (default: available parallelism; results
-                                  are byte-identical at any N)
-  --shards N                      shard each simulation across worker
-                                  threads (default: off). The shard count
-                                  is derived from the configuration, so
-                                  output is byte-identical at any N >= 1;
-                                  sharded output is a different (documented)
-                                  decomposition than the unsharded engine
-  --trace-reuse on|off            reuse one frozen workload trace across a
-                                  sweep's grid points (default: on). Both
-                                  settings are byte-identical; off exists
-                                  to prove it and to measure the sampling
-                                  cost it removes
+  --jobs N                        worker threads for independent runs, 1 to
+                                  1024 (default: available parallelism;
+                                  results are byte-identical at any N)
+  --shards N                      shard each simulation across N worker
+                                  threads, 1 to 1024 (default: off). The
+                                  shard count is derived from the
+                                  configuration, so output is byte-identical
+                                  at any N; sharded output is a different
+                                  (documented) decomposition than the
+                                  unsharded engine
   --isa scalar|auto               pin the measured kernels' ISA dispatch
                                   (default: auto, or KERNELS_FORCE_SCALAR=1).
                                   Kernel outputs are bit-identical either
@@ -97,8 +106,10 @@ commands:
             [--design D] [--strategy S]
   sweep <config.json> --axis <peak-speedup|interface-latency|offloads|
         kernel-fraction|queueing|thread-switch> --from X --to X [--points N]
+                                  (N: 2 to 10000, default 10)
   project                         Section 5 recommendations (Fig. 20)
   characterize <service> [--samples N] [--seed N] [--folded]
+                                  (N: 1 to 1000000 samples, default 50000)
   validate [--seed N] [--case C]  Table 6 A/B validation in the simulator
                                   (C: aes-ni | encryption | inference |
                                   fallback — the fault-capacity table:
@@ -115,14 +126,21 @@ commands:
             async-no-response>
   bounds <config.json>            dominant performance bound per scenario
   slo <config.json> [--min-reduction R]   latency-SLO guardrails
-  tables <id|all>                 regenerate the paper's tables
+  tables <id ...|all>             regenerate the paper's tables
                                   (table1 .. table7)
+  figures [id ...|all] [--json]   regenerate the paper's figures (fig1 ..
+                                  fig22, plus design-space; default all).
+                                  --json prints each figure's data series;
+                                  the text-only timeline figures (fig11 ..
+                                  fig14) are skipped by all --json
+  ablations [--seed N]            the three modeling ablations, simulated
   services list                   service ids, slugs, and profile sources
   services validate <dir|file>    parse + validate profile JSON; exits
                                   non-zero on the first malformed spec
   services export <dir>           write every builtin profile as
                                   <dir>/<slug>.json (the generator for
-                                  configs/services/)";
+                                  configs/services/)
+every --seed N is a whole number from 0 to 18446744073709551615";
 
 /// Runs the CLI on pre-split arguments (excluding the program name),
 /// returning the text to print.
@@ -132,119 +150,74 @@ commands:
 /// Returns a human-readable error message for unknown commands, missing
 /// arguments, unreadable files, or invalid parameters.
 pub fn run(args: &[String]) -> Result<String, String> {
-    let args = apply_jobs_flag(args)?;
-    let args = apply_shards_flag(&args)?;
-    let args = apply_trace_reuse_flag(&args)?;
-    let mut args = apply_isa_flag(&args)?;
-    accelerometer_fleet::apply_services_flag(&mut args)?;
+    let (pool, args) = parse_globals(args)?;
     let args = args.as_slice();
-    let mut it = args.iter().map(String::as_str);
-    match it.next() {
-        Some("estimate") => cmd_estimate(&args[1..]),
+    let rest = args.get(1..).unwrap_or_default();
+    match args.first().map(String::as_str) {
+        Some("estimate") => cmd_estimate(&pool, rest),
         Some("calibrate") => Ok(cmd_calibrate()),
-        Some("breakeven") => cmd_breakeven(&args[1..]),
-        Some("sweep") => cmd_sweep(&args[1..]),
+        Some("breakeven") => cmd_breakeven(rest),
+        Some("sweep") => cmd_sweep(rest),
         Some("project") => Ok(cmd_project()),
-        Some("characterize") => cmd_characterize(&args[1..]),
-        Some("validate") => cmd_validate(&args[1..]),
-        Some("faults") => cmd_faults(&args[1..]),
-        Some("timeline") => cmd_timeline(&args[1..]),
-        Some("bounds") => cmd_bounds(&args[1..]),
-        Some("slo") => cmd_slo(&args[1..]),
-        Some("tables") => cmd_tables(&args[1..]),
-        Some("services") => cmd_services(&args[1..]),
+        Some("characterize") => cmd_characterize(rest),
+        Some("validate") => cmd_validate(&pool, rest),
+        Some("faults") => cmd_faults(&pool, rest),
+        Some("timeline") => cmd_timeline(rest),
+        Some("bounds") => cmd_bounds(rest),
+        Some("slo") => cmd_slo(rest),
+        Some("tables") => cmd_tables(&pool, rest),
+        Some("figures") => cmd_figures(&pool, rest),
+        Some("ablations") => cmd_ablations(&pool, rest),
+        Some("services") => cmd_services(rest),
         Some("help") | None => Ok(USAGE.to_owned()),
         Some(other) => Err(format!("unknown command '{other}'\n{USAGE}")),
     }
 }
 
-/// Strips the global `--jobs N` flag, installing `N` as the default
-/// worker count for every pool-backed command (`validate`, `estimate`,
-/// batch sweeps). Jobs only affect wall-clock time, never results.
-fn apply_jobs_flag(args: &[String]) -> Result<Vec<String>, String> {
-    let mut args = args.to_vec();
-    let Some(i) = args.iter().position(|a| a == "--jobs") else {
-        return Ok(args);
-    };
-    let value = args
-        .get(i + 1)
-        .ok_or("--jobs requires a value (worker thread count)")?;
-    let jobs: usize = value
-        .parse()
-        .map_err(|_| format!("--jobs expects a positive integer, got '{value}'"))?;
-    if jobs == 0 {
-        return Err("--jobs expects a positive integer, got 0".to_owned());
-    }
-    accelerometer::exec::set_default_jobs(jobs);
-    args.drain(i..=i + 1);
-    Ok(args)
-}
+/// The most worker threads `--jobs` or `--shards` may ask for.
+const MAX_WORKERS: usize = 1024;
 
-/// Strips the global `--shards N` flag, routing every simulation-backed
-/// command through the sharded runner. `N` picks only the worker-thread
-/// width — the shard decomposition itself is derived from each
-/// configuration — so any `N >= 1` produces byte-identical output.
-fn apply_shards_flag(args: &[String]) -> Result<Vec<String>, String> {
-    let mut args = args.to_vec();
-    let Some(i) = args.iter().position(|a| a == "--shards") else {
-        return Ok(args);
-    };
-    let value = args
-        .get(i + 1)
-        .ok_or("--shards requires a value (worker thread count)")?;
-    let shards: usize = value
-        .parse()
-        .map_err(|_| format!("--shards expects a positive integer, got '{value}'"))?;
-    if shards == 0 {
-        return Err("--shards expects a positive integer, got 0".to_owned());
-    }
-    set_default_shards(shards);
-    args.drain(i..=i + 1);
-    Ok(args)
-}
+/// Every `u64` is a valid seed.
+const SEEDS: RangeInclusive<u64> = 0..=u64::MAX;
 
-/// Strips the global `--trace-reuse on|off` flag, toggling cross-point
-/// frozen-trace reuse in the sweep runners. Both settings produce
-/// byte-identical output (the tier-1 smoke diffs them); `off` exists to
-/// prove that and to measure the sampling cost reuse removes.
-fn apply_trace_reuse_flag(args: &[String]) -> Result<Vec<String>, String> {
-    let mut args = args.to_vec();
-    let Some(i) = args.iter().position(|a| a == "--trace-reuse") else {
-        return Ok(args);
-    };
-    let value = args
-        .get(i + 1)
-        .ok_or("--trace-reuse requires a value (on or off)")?;
-    match value.as_str() {
-        "on" => set_trace_reuse(true),
-        "off" => set_trace_reuse(false),
-        other => return Err(format!("--trace-reuse expects 'on' or 'off', got '{other}'")),
+/// Takes the global flags out of `args`, wherever they appear, and
+/// returns the worker pool `--jobs` asks for (default: the machine's
+/// available parallelism) with the command's own arguments.
+///
+/// `--jobs` only affects wall-clock time, never results. `--shards`,
+/// `--isa` and `--services` are process-wide settings: sharded
+/// simulation, the kernels' ISA dispatch (outputs are bit-identical
+/// either way), and the active service registry.
+fn parse_globals(args: &[String]) -> Result<(ExecPool, Vec<String>), String> {
+    let mut jobs = None;
+    let mut rest = Vec::with_capacity(args.len());
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let name = arg.as_str();
+        if !matches!(name, "--jobs" | "--shards" | "--isa" | "--services") {
+            rest.push(arg.clone());
+            continue;
+        }
+        let value = it
+            .next()
+            .ok_or_else(|| format!("{name} requires a value"))?;
+        match name {
+            "--jobs" => jobs = Some(whole(name, value, 1..=MAX_WORKERS)?),
+            "--shards" => set_default_shards(whole(name, value, 1..=MAX_WORKERS)?),
+            "--isa" => dispatch::set_isa_mode(match value.as_str() {
+                "scalar" => dispatch::IsaMode::Scalar,
+                "auto" => dispatch::IsaMode::Auto,
+                other => return Err(format!("--isa expects 'scalar' or 'auto', got '{other}'")),
+            }),
+            _ => {
+                let registry = ServiceRegistry::load_path(Path::new(value))
+                    .map_err(|e| format!("--services {value}: {e}"))?;
+                set_active_registry(Some(Arc::new(registry)));
+            }
+        }
     }
-    args.drain(i..=i + 1);
-    Ok(args)
-}
-
-/// Strips the global `--isa scalar|auto` flag, pinning the kernel
-/// crate's runtime ISA dispatch. `scalar` forces every kernel onto its
-/// scalar reference path (the same effect as `KERNELS_FORCE_SCALAR=1`);
-/// `auto` uses whatever the host exposes. Kernel outputs are
-/// bit-identical either way — the mode changes only wall-clock, which
-/// is exactly what `calibrate` measures.
-fn apply_isa_flag(args: &[String]) -> Result<Vec<String>, String> {
-    let mut args = args.to_vec();
-    let Some(i) = args.iter().position(|a| a == "--isa") else {
-        return Ok(args);
-    };
-    let value = args
-        .get(i + 1)
-        .ok_or("--isa requires a value (scalar or auto)")?;
-    match value.as_str() {
-        "scalar" => dispatch::set_isa_mode(dispatch::IsaMode::Scalar),
-        "auto" => dispatch::set_isa_mode(dispatch::IsaMode::Auto),
-        other => return Err(format!("--isa expects 'scalar' or 'auto', got '{other}'")),
-    }
-    args.drain(i..=i + 1);
-    Ok(args)
+    let pool = ExecPool::new(jobs.unwrap_or_else(available_jobs));
+    Ok((pool, rest))
 }
 
 /// `accelctl calibrate`: measure every case-study kernel on this host,
@@ -282,20 +255,52 @@ fn cmd_calibrate() -> String {
     out
 }
 
-fn flag_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+/// The value following flag `name`, if the flag is present.
+fn flag_value<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>, String> {
+    match args.iter().position(|a| a == name) {
+        Some(i) => args
+            .get(i + 1)
+            .map(|v| Some(v.as_str()))
+            .ok_or_else(|| format!("{name} requires a value")),
+        None => Ok(None),
+    }
 }
 
 fn parse_f64(args: &[String], name: &str, default: Option<f64>) -> Result<f64, String> {
-    match flag_value(args, name) {
+    match flag_value(args, name)? {
         Some(v) => v
             .parse()
             .map_err(|_| format!("{name} expects a number, got '{v}'")),
         None => default.ok_or_else(|| format!("missing required flag {name}")),
     }
+}
+
+/// `value` (given for flag `name`) as a whole number within `bounds`.
+fn whole<T>(name: &str, value: &str, bounds: RangeInclusive<T>) -> Result<T, String>
+where
+    T: FromStr + PartialOrd + Display,
+{
+    value
+        .parse()
+        .ok()
+        .filter(|n| bounds.contains(n))
+        .ok_or_else(|| {
+            format!(
+                "{name} expects a whole number from {} to {}, got '{value}'",
+                bounds.start(),
+                bounds.end()
+            )
+        })
+}
+
+/// Flag `name` as a whole number within `bounds`, if present.
+fn int_flag<T>(args: &[String], name: &str, bounds: RangeInclusive<T>) -> Result<Option<T>, String>
+where
+    T: FromStr + PartialOrd + Display,
+{
+    flag_value(args, name)?
+        .map(|v| whole(name, v, bounds))
+        .transpose()
 }
 
 fn parse_design(value: &str) -> Result<ThreadingDesign, String> {
@@ -336,7 +341,7 @@ fn format_scenario_estimate(
     )
 }
 
-fn cmd_estimate(args: &[String]) -> Result<String, String> {
+fn cmd_estimate(pool: &ExecPool, args: &[String]) -> Result<String, String> {
     let path = args
         .first()
         .ok_or("estimate requires a config file path")?;
@@ -345,9 +350,8 @@ fn cmd_estimate(args: &[String]) -> Result<String, String> {
     if scenarios.is_empty() {
         return Err("config contains no scenarios".to_owned());
     }
-    // Evaluate all scenarios through the worker pool (honors --jobs).
     let bare: Vec<Scenario> = scenarios.iter().map(|(_, s)| *s).collect();
-    let estimates = sweep::estimate_batch(&bare);
+    let estimates = sweep::estimate_batch_with(pool, &bare);
     let mut out = String::new();
     for ((name, scenario), est) in scenarios.iter().zip(&estimates) {
         let _ = writeln!(out, "{}", format_scenario_estimate(name, scenario, est));
@@ -362,12 +366,12 @@ fn cmd_breakeven(args: &[String]) -> Result<String, String> {
     let l = parse_f64(args, "--l", Some(0.0))?;
     let q = parse_f64(args, "--q", Some(0.0))?;
     let o1 = parse_f64(args, "--o1", Some(0.0))?;
-    let design = match flag_value(args, "--design") {
-        Some(d) => parse_design(&d)?,
+    let design = match flag_value(args, "--design")? {
+        Some(d) => parse_design(d)?,
         None => ThreadingDesign::Sync,
     };
-    let strategy = match flag_value(args, "--strategy") {
-        Some(s) => parse_strategy(&s)?,
+    let strategy = match flag_value(args, "--strategy")? {
+        Some(s) => parse_strategy(s)?,
         None => AccelerationStrategy::OffChip,
     };
     let ctx = OffloadContext::new(OffloadOverheads::new(o0, l, q, o1), a, design, strategy);
@@ -385,6 +389,9 @@ fn cmd_breakeven(args: &[String]) -> Result<String, String> {
     })
 }
 
+/// The most grid points `sweep --points` may ask for.
+const MAX_POINTS: usize = 10_000;
+
 fn cmd_sweep(args: &[String]) -> Result<String, String> {
     let path = args.first().ok_or("sweep requires a config file path")?;
     let cfg = load_config(path)?;
@@ -394,15 +401,15 @@ fn cmd_sweep(args: &[String]) -> Result<String, String> {
         .into_iter()
         .next()
         .ok_or("config contains no scenarios")?;
-    let axis_name = flag_value(args, "--axis").ok_or("missing required flag --axis")?;
+    let axis_name = flag_value(args, "--axis")?.ok_or("missing required flag --axis")?;
     let axis: sweep::SweepAxis =
-        serde_json::from_value(serde_json::Value::String(axis_name.clone()))
+        serde_json::from_value(serde_json::Value::String(axis_name.to_owned()))
             .map_err(|_| format!("unknown sweep axis '{axis_name}'"))?;
     let from = parse_f64(args, "--from", None)?;
     let to = parse_f64(args, "--to", None)?;
-    let points = parse_f64(args, "--points", Some(10.0))? as usize;
-    if from >= to || points < 2 {
-        return Err("sweep requires --from < --to and --points >= 2".to_owned());
+    let points = int_flag(args, "--points", 2..=MAX_POINTS)?.unwrap_or(10);
+    if !(from.is_finite() && to.is_finite() && from < to) {
+        return Err("sweep requires finite --from < --to".to_owned());
     }
     let values = if from > 0.0 {
         sweep::log_space(from, to, points)
@@ -453,21 +460,10 @@ fn cmd_project() -> String {
 /// Linux, glibc malloc).
 const MAX_SAMPLES: usize = 1_000_000;
 
-/// `--samples` as a whole number in `1..=MAX_SAMPLES` (default 50 000).
-fn parse_samples(args: &[String]) -> Result<usize, String> {
-    let Some(v) = flag_value(args, "--samples") else {
-        return Ok(50_000);
-    };
-    v.parse()
-        .ok()
-        .filter(|n| (1..=MAX_SAMPLES).contains(n))
-        .ok_or_else(|| format!("--samples expects a whole number from 1 to {MAX_SAMPLES}, got '{v}'"))
-}
-
 fn cmd_characterize(args: &[String]) -> Result<String, String> {
     let service = parse_service(args.first().ok_or("characterize requires a service name")?)?;
-    let samples = parse_samples(args)?;
-    let seed = parse_f64(args, "--seed", Some(42.0))? as u64;
+    let samples = int_flag(args, "--samples", 1..=MAX_SAMPLES)?.unwrap_or(50_000);
+    let seed = int_flag(args, "--seed", SEEDS)?.unwrap_or(42);
     let mut generator = TraceGenerator::new(profile(service), seed);
     let traces = generator.generate(samples);
     if args.iter().any(|a| a == "--folded") {
@@ -478,16 +474,16 @@ fn cmd_characterize(args: &[String]) -> Result<String, String> {
     Ok(format!("characterization of {service}:\n{}", report.render()))
 }
 
-fn cmd_validate(args: &[String]) -> Result<String, String> {
-    let seed = parse_f64(args, "--seed", Some(20_260_706.0))? as u64;
-    if let Some(name) = flag_value(args, "--case") {
+fn cmd_validate(pool: &ExecPool, args: &[String]) -> Result<String, String> {
+    let seed = int_flag(args, "--seed", SEEDS)?.unwrap_or(20_260_706);
+    if let Some(name) = flag_value(args, "--case")? {
         if name == "fallback" {
             // Not a Table 6 row: the fault-capacity analogue. Model's
             // fallback-load term vs a simulated A/B per failure rate.
             let mut out = String::from(
                 "fallback-capacity validation (model vs simulated A/B; retries 1, fallback-to-host):\n",
             );
-            for r in validate_fallback(seed) {
+            for r in validate_fallback_with(pool, seed) {
                 let _ = writeln!(
                     out,
                     "  p = {:.1}  E[a] {:.2}  p_fb {:.3}  model {:>6.2}%  simulated {:>6.2}%  fallbacks {:>5}  core util {:.4}  (model-vs-sim {:.2} pts)",
@@ -514,7 +510,7 @@ fn cmd_validate(args: &[String]) -> Result<String, String> {
             return Err(format!(
                 "{}; 'fallback' selects the fault-capacity table",
                 SimError::UnknownCaseStudy {
-                    name,
+                    name: name.to_owned(),
                     valid: CASE_STUDY_NAMES,
                 }
             ));
@@ -531,7 +527,7 @@ fn cmd_validate(args: &[String]) -> Result<String, String> {
         ));
     }
     let mut out = String::from("Table 6 validation (model vs simulated A/B vs paper):\n");
-    for v in validate_all(seed) {
+    for v in validate_all_with(pool, seed) {
         let _ = writeln!(
             out,
             "  {:<11} model {:>6.2}%  simulated {:>6.2}%  paper est {:>5.1}% real {:>6.2}%  (model-vs-sim {:.2} pts)",
@@ -552,22 +548,22 @@ fn cmd_validate(args: &[String]) -> Result<String, String> {
 /// JSON file — and emit the report as pretty-printed JSON. Every run is
 /// an independent seeded simulation, so output is byte-identical at any
 /// `--jobs` width.
-fn cmd_faults(args: &[String]) -> Result<String, String> {
-    let seed = parse_f64(args, "--seed", Some(20_260_806.0))? as u64;
+fn cmd_faults(pool: &ExecPool, args: &[String]) -> Result<String, String> {
+    let seed = int_flag(args, "--seed", SEEDS)?;
     let scenario = match args.first().filter(|a| !a.starts_with("--")) {
         Some(path) => {
             let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
             let mut scenario: FaultScenario = serde_json::from_str(&text)
                 .map_err(|e| format!("invalid fault scenario {path}: {e}"))?;
             // --seed overrides the file's seed; otherwise the file wins.
-            if flag_value(args, "--seed").is_some() {
+            if let Some(seed) = seed {
                 scenario.base.seed = seed;
             }
             scenario
         }
-        None => demo_scenario(seed),
+        None => demo_scenario(seed.unwrap_or(20_260_806)),
     };
-    let report = run_fault_sweep(&scenario).map_err(|e| e.to_string())?;
+    let report = run_fault_sweep_with(pool, &scenario).map_err(|e| e.to_string())?;
     serde_json::to_string_pretty(&report).map_err(|e| e.to_string())
 }
 
@@ -637,24 +633,94 @@ fn cmd_slo(args: &[String]) -> Result<String, String> {
     Ok(out)
 }
 
-/// `accelctl tables <id|all>`: regenerate the paper's tables through
+/// `accelctl tables <id ...|all>`: regenerate the paper's tables through
 /// whatever profile data is active — built-in constructors by default,
 /// or JSON specs when `--services` is given. The tier-1 gate diffs the
 /// two paths byte-for-byte.
-fn cmd_tables(args: &[String]) -> Result<String, String> {
+fn cmd_tables(pool: &ExecPool, args: &[String]) -> Result<String, String> {
     let id = args
         .first()
         .ok_or("tables requires a table id (table1 .. table7) or 'all'")?;
     if id == "all" {
         let mut out = String::new();
-        for id in accelerometer_bench::TABLE_IDS {
-            out.push_str(&accelerometer_bench::render_table(id).expect("known table id"));
+        for id in TABLE_IDS {
+            out.push_str(&accelerometer_bench::render_table(pool, id).expect("known table id"));
             out.push('\n');
         }
         return Ok(out);
     }
-    accelerometer_bench::render_table(id)
-        .ok_or_else(|| format!("unknown table '{id}' (expected table1 .. table7 or all)"))
+    let tables = args
+        .iter()
+        .map(|id| {
+            accelerometer_bench::render_table(pool, id)
+                .ok_or_else(|| format!("unknown table '{id}' (expected table1 .. table7 or all)"))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(tables.join("\n"))
+}
+
+/// `accelctl figures [id ...|all] [--json]`: regenerate the paper's
+/// figures, rendered in parallel on `pool` and printed in request order.
+/// With `--json`, each figure prints its data series instead; naming a
+/// text-only figure then is an error, while `all` skips them.
+fn cmd_figures(pool: &ExecPool, args: &[String]) -> Result<String, String> {
+    let json = args.iter().any(|a| a == "--json");
+    let requested: Vec<&str> = args
+        .iter()
+        .map(String::as_str)
+        .filter(|a| *a != "--json")
+        .collect();
+    let all = requested.is_empty() || requested.contains(&"all");
+    let ids = if all { FIGURE_IDS.to_vec() } else { requested };
+    if let Some(id) = ids
+        .iter()
+        .find(|id| **id != "design-space" && !FIGURE_IDS.contains(id))
+    {
+        return Err(format!(
+            "unknown figure id: {id} (expected fig1 .. fig22, design-space or all)"
+        ));
+    }
+    let rendered = pool.map(&ids, |_, id| render_figure(pool, id, json));
+    let mut out = Vec::with_capacity(ids.len());
+    for (id, text) in ids.iter().zip(rendered) {
+        match text {
+            Some(text) => out.push(text),
+            None if all => {}
+            None => {
+                return Err(format!(
+                    "no JSON series for {id} (the timeline figures are text-only)"
+                ))
+            }
+        }
+    }
+    Ok(out.join("\n"))
+}
+
+/// One known figure as text, or as its pretty-printed JSON series
+/// (`None` for a figure that has none).
+fn render_figure(pool: &ExecPool, id: &str, json: bool) -> Option<String> {
+    if json {
+        let series = serde_json::json!({ id: figure_json(id)? });
+        Some(serde_json::to_string_pretty(&series).expect("figure data serializes"))
+    } else if id == "design-space" {
+        // Extra (non-paper) figure: the A x L heatmap per design.
+        let designs = [
+            ThreadingDesign::Sync,
+            ThreadingDesign::SyncOs,
+            ThreadingDesign::AsyncNoResponse,
+        ];
+        let maps = designs.map(|design| design_space::render(pool, 2.3e9, 0.15, 15_008.0, design));
+        Some(maps.join("\n"))
+    } else {
+        figure(id)
+    }
+}
+
+/// `accelctl ablations [--seed N]`: the three modeling ablations, their
+/// A/B experiments run on `pool`.
+fn cmd_ablations(pool: &ExecPool, args: &[String]) -> Result<String, String> {
+    let seed = int_flag(args, "--seed", SEEDS)?.unwrap_or(20_260_706);
+    Ok(accelerometer_bench::ablations::render_all(pool, seed))
 }
 
 /// `accelctl services list|validate <dir|file>|export <dir>`: the
@@ -743,8 +809,12 @@ mod tests {
         list.iter().map(|s| (*s).to_owned()).collect()
     }
 
+    /// Writes the case-study config to a temp file no other test shares.
     fn write_config() -> String {
-        let path = std::env::temp_dir().join(format!("accelctl-test-{}.json", std::process::id()));
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let name = format!("accelctl-test-{}-{n}.json", std::process::id());
+        let path = std::env::temp_dir().join(name);
         fs::write(
             &path,
             r#"{"scenarios": [{
@@ -775,9 +845,107 @@ mod tests {
         assert!(out.contains("+15.7"), "{out}");
         // Missing / non-positive values are rejected before dispatch.
         assert!(run(&args(&["--jobs"])).unwrap_err().contains("--jobs"));
-        assert!(run(&args(&["--jobs", "zero", "help"])).is_err());
-        assert!(run(&args(&["--jobs", "0", "help"])).is_err());
-        accelerometer::exec::set_default_jobs(0);
+        for bad in ["zero", "0", "1025", "2.5", "-1"] {
+            let err = run(&args(&["--jobs", bad, "help"])).unwrap_err();
+            assert!(
+                err.contains("--jobs expects a whole number from 1 to 1024"),
+                "{bad}: {err}"
+            );
+        }
+        // Global flags are taken out wherever they appear.
+        let path = write_config();
+        let out = run(&args(&["estimate", &path, "--jobs", "1"])).unwrap();
+        fs::remove_file(&path).ok();
+        assert!(out.contains("+15.7"), "{out}");
+    }
+
+    /// `--seed` is a whole number: fractions, negatives and words are
+    /// structured errors, never truncated or defaulted.
+    fn assert_seed_rejected(command: &[&str]) {
+        for bad in ["2.7", "-5", "abc", "1e3"] {
+            let mut list = command.to_vec();
+            list.extend(["--seed", bad]);
+            let err = run(&args(&list)).unwrap_err();
+            assert!(
+                err.contains(&format!(
+                    "--seed expects a whole number from 0 to {}, got '{bad}'",
+                    u64::MAX
+                )),
+                "{list:?}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn characterize_rejects_non_integer_seeds() {
+        assert_seed_rejected(&["characterize", "web", "--samples", "10"]);
+    }
+
+    #[test]
+    fn validate_rejects_non_integer_seeds() {
+        assert_seed_rejected(&["validate"]);
+    }
+
+    #[test]
+    fn faults_rejects_non_integer_seeds() {
+        assert_seed_rejected(&["faults"]);
+    }
+
+    #[test]
+    fn ablations_rejects_non_integer_seeds() {
+        assert_seed_rejected(&["ablations"]);
+    }
+
+    #[test]
+    fn flags_without_values_are_errors() {
+        for list in [
+            &["characterize", "web", "--samples"][..],
+            &["validate", "--seed"],
+            &["validate", "--case"],
+            &["breakeven", "--cb", "5", "--a"],
+        ] {
+            let err = run(&args(list)).unwrap_err();
+            assert!(err.contains("requires a value"), "{list:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn tables_render_one_or_several_ids() {
+        let pool = ExecPool::new(1);
+        let one = |id| accelerometer_bench::render_table(&pool, id).unwrap();
+        assert_eq!(run(&args(&["tables", "table1"])).unwrap(), one("table1"));
+        let both = run(&args(&["tables", "table1", "table5"])).unwrap();
+        assert_eq!(both, format!("{}\n{}", one("table1"), one("table5")));
+        let err = run(&args(&["tables", "table1", "table99"])).unwrap_err();
+        assert!(err.contains("unknown table 'table99'"), "{err}");
+        assert!(run(&args(&["tables"])).is_err());
+    }
+
+    #[test]
+    fn figures_render_text_and_json() {
+        let out = run(&args(&["figures", "fig20", "fig3"])).unwrap();
+        assert!(out.starts_with(&figure("fig20").unwrap()), "{out}");
+        assert!(out.ends_with(&figure("fig3").unwrap()), "{out}");
+        let out = run(&args(&["figures", "fig19", "--json"])).unwrap();
+        assert!(out.starts_with("{\n  \"fig19\""), "{out}");
+        let out = run(&args(&["--jobs", "1", "figures", "design-space"])).unwrap();
+        assert_eq!(out.matches("== Design space").count(), 3, "{out}");
+        // Naming a text-only figure with --json, or an unknown id, fails.
+        let err = run(&args(&["figures", "fig12", "--json"])).unwrap_err();
+        assert!(err.contains("no JSON series for fig12"), "{err}");
+        let err = run(&args(&["figures", "fig99"])).unwrap_err();
+        assert!(err.contains("unknown figure id: fig99"), "{err}");
+    }
+
+    #[test]
+    fn figures_all_json_skips_the_timeline_figures() {
+        let out = run(&args(&["figures", "all", "--json"])).unwrap();
+        for id in ["\"fig1\"", "\"fig10\"", "\"fig15\"", "\"fig22\""] {
+            assert!(out.contains(id), "missing {id}");
+        }
+        for id in ["\"fig11\"", "\"fig14\""] {
+            assert!(!out.contains(id), "text-only {id} printed");
+        }
     }
 
     #[test]
@@ -865,6 +1033,36 @@ mod tests {
         fs::remove_file(&path).ok();
         assert_eq!(out.lines().count(), 6, "{out}");
         assert!(out.contains("speedup"));
+        // --points is a whole number from 2 to 10 000.
+        for bad in ["1", "10001", "1e18", "2.5"] {
+            let path = write_config();
+            let err = run(&args(&[
+                "sweep",
+                &path,
+                "--axis",
+                "peak-speedup",
+                "--from",
+                "2",
+                "--to",
+                "32",
+                "--points",
+                bad,
+            ]))
+            .unwrap_err();
+            fs::remove_file(&path).ok();
+            assert!(
+                err.contains("--points expects a whole number from 2 to 10000"),
+                "{bad}: {err}"
+            );
+        }
+        // A NaN bound once reached `lin_space`'s assertion and panicked.
+        for (from, to) in [("nan", "32"), ("-inf", "32"), ("2", "inf"), ("32", "2")] {
+            let path = write_config();
+            let list = ["sweep", &path, "--axis", "peak-speedup", "--from", from, "--to", to];
+            let err = run(&args(&list)).unwrap_err();
+            fs::remove_file(&path).ok();
+            assert!(err.contains("finite --from < --to"), "{from}..{to}: {err}");
+        }
         // Bad axis.
         let err = run(&args(&["sweep", "/nonexistent", "--axis", "x"])).unwrap_err();
         assert!(err.contains("cannot read"));
@@ -962,29 +1160,6 @@ mod tests {
         assert!(run(&args(&["--shards"])).unwrap_err().contains("--shards"));
         assert!(run(&args(&["--shards", "zero", "help"])).is_err());
         assert!(run(&args(&["--shards", "0", "help"])).is_err());
-    }
-
-    #[test]
-    fn trace_reuse_flag_is_global_validated_and_byte_exact() {
-        let _guard = lock_shards_global();
-        // The sweep-level bit-exactness contract: a full fault sweep's
-        // JSON must not change by a byte whether grid points share one
-        // frozen trace (default) or redraw their streams per point.
-        let reused = run(&args(&["--trace-reuse", "on", "faults"])).unwrap();
-        let redrawn = run(&args(&["--trace-reuse", "off", "faults"])).unwrap();
-        set_trace_reuse(true);
-        assert_eq!(reused, redrawn, "trace reuse changed sweep output");
-        // And under sharding, where traces are per derived shard seed.
-        let reused = run(&args(&["--trace-reuse", "on", "--shards", "2", "faults"])).unwrap();
-        let redrawn = run(&args(&["--trace-reuse", "off", "--shards", "2", "faults"])).unwrap();
-        set_default_shards(0);
-        set_trace_reuse(true);
-        assert_eq!(reused, redrawn, "trace reuse changed sharded sweep output");
-        // Missing / unknown values are rejected before dispatch.
-        assert!(run(&args(&["--trace-reuse"]))
-            .unwrap_err()
-            .contains("--trace-reuse"));
-        assert!(run(&args(&["--trace-reuse", "maybe", "help"])).is_err());
     }
 
     #[test]

@@ -55,7 +55,6 @@ fn faults_report_matches_golden_fixture_at_any_jobs_width() {
     let _guard = lock_shards_global();
     let one = run(&args(&["--jobs", "1", "faults"])).expect("faults runs");
     let many = run(&args(&["--jobs", "4", "faults"])).expect("faults runs");
-    accelerometer::exec::set_default_jobs(0);
     assert_eq!(one, many, "faults report must not depend on --jobs");
 
     let path = fixture_path();

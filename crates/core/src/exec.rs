@@ -15,30 +15,10 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
-/// Process-wide default worker count; `0` means "ask the OS".
-static DEFAULT_JOBS: AtomicUsize = AtomicUsize::new(0);
-
 /// The machine's available parallelism (at least 1).
 #[must_use]
 pub fn available_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
-/// Sets the process-wide default worker count used by
-/// [`ExecPool::default`]. `0` restores the "available parallelism"
-/// behaviour. Binaries wire their `--jobs N` flag to this.
-pub fn set_default_jobs(jobs: usize) {
-    DEFAULT_JOBS.store(jobs, Ordering::Relaxed);
-}
-
-/// The current default worker count: the value set via
-/// [`set_default_jobs`], or [`available_jobs`] when unset.
-#[must_use]
-pub fn default_jobs() -> usize {
-    match DEFAULT_JOBS.load(Ordering::Relaxed) {
-        0 => available_jobs(),
-        n => n,
-    }
 }
 
 /// A fixed-width pool for running independent jobs on scoped threads.
@@ -48,14 +28,6 @@ pub fn default_jobs() -> usize {
 #[derive(Debug, Clone, Copy)]
 pub struct ExecPool {
     jobs: usize,
-}
-
-impl Default for ExecPool {
-    /// A pool with the process-wide default worker count (see
-    /// [`set_default_jobs`]).
-    fn default() -> Self {
-        Self::new(default_jobs())
-    }
 }
 
 impl ExecPool {
@@ -290,16 +262,5 @@ mod tests {
             let expected: Vec<usize> = (100..123).collect();
             assert_eq!(items, expected, "jobs = {jobs}");
         }
-    }
-
-    #[test]
-    fn default_jobs_round_trips() {
-        // Serially within one test to avoid cross-test races on the
-        // global: set, read, restore.
-        set_default_jobs(5);
-        assert_eq!(default_jobs(), 5);
-        assert_eq!(ExecPool::default().jobs(), 5);
-        set_default_jobs(0);
-        assert!(default_jobs() >= 1);
     }
 }

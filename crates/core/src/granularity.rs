@@ -38,6 +38,19 @@ impl GranularityCdf {
     ///   increasing, fractions are not non-decreasing, any fraction is
     ///   outside `[0, 1]`, or the final fraction is not 1.
     pub fn from_points(points: Vec<(f64, f64)>) -> Result<Self> {
+        let cdf = Self { points };
+        cdf.validate()?;
+        Ok(cdf)
+    }
+
+    /// Re-checks the [`from_points`](Self::from_points) invariants — for
+    /// a CDF that was deserialized rather than built.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`GranularityCdf::from_points`].
+    pub fn validate(&self) -> Result<()> {
+        let points = &self.points;
         if points.is_empty() {
             return Err(ModelError::EmptyDistribution);
         }
@@ -58,7 +71,7 @@ impl GranularityCdf {
                 index: points.len() - 1,
             });
         }
-        Ok(Self { points })
+        Ok(())
     }
 
     /// Builds a CDF from per-bucket counts: `buckets[i]` holds the count

@@ -86,18 +86,11 @@ pub fn sweep(base: &Scenario, axis: SweepAxis, values: &[f64]) -> Vec<SweepPoint
         .collect()
 }
 
-/// Evaluates many independent scenarios in parallel.
+/// Evaluates many independent scenarios on `pool`.
 ///
-/// The output preserves input order. Fan-out goes through
-/// [`crate::exec::ExecPool`] with the process-wide default worker count,
-/// so fleet-wide batch projections scale with cores while staying
-/// byte-identical to a sequential evaluation.
-#[must_use]
-pub fn estimate_batch(scenarios: &[Scenario]) -> Vec<Estimate> {
-    estimate_batch_with(&crate::exec::ExecPool::default(), scenarios)
-}
-
-/// [`estimate_batch`] with an explicit worker pool.
+/// The output preserves input order, so fleet-wide batch projections
+/// scale with the pool's width while staying byte-identical to a
+/// sequential evaluation.
 #[must_use]
 pub fn estimate_batch_with(
     pool: &crate::exec::ExecPool,
@@ -194,13 +187,17 @@ mod tests {
                 s
             })
             .collect();
-        let parallel = estimate_batch(&scenarios);
+        let pool = crate::exec::ExecPool::new(4);
+        let parallel = estimate_batch_with(&pool, &scenarios);
         for (s, e) in scenarios.iter().zip(&parallel) {
             assert_eq!(s.estimate(), *e);
         }
         // Singleton path.
-        assert_eq!(estimate_batch(&scenarios[..1])[0], scenarios[0].estimate());
-        assert!(estimate_batch(&[]).is_empty());
+        assert_eq!(
+            estimate_batch_with(&pool, &scenarios[..1])[0],
+            scenarios[0].estimate()
+        );
+        assert!(estimate_batch_with(&pool, &[]).is_empty());
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub use params::{
 };
 pub use platform::{CpuGeneration, CpuPlatform, ALL_PLATFORMS, GEN_A, GEN_B, GEN_C_18, GEN_C_20};
 pub use registry::{
-    active_registry, apply_services_flag, builtin_spec, set_active_registry, FleetError,
+    active_registry, builtin_spec, set_active_registry, FleetError,
     ServiceRegistry, ServiceSpec, SCHEMA_VERSION,
 };
 pub use services::{

@@ -752,29 +752,6 @@ pub fn functionality_ipc_scaling(
     None
 }
 
-/// Strips a `--services <dir|file>` flag from `args`, loading the named
-/// profile data and installing it as the process-wide active registry.
-/// Shared by `accelctl` and the `bench` regeneration binaries.
-///
-/// # Errors
-///
-/// Returns a message when the flag has no value or the data fails to
-/// load or validate.
-pub fn apply_services_flag(args: &mut Vec<String>) -> Result<(), String> {
-    let Some(i) = args.iter().position(|a| a == "--services") else {
-        return Ok(());
-    };
-    let value = args
-        .get(i + 1)
-        .ok_or_else(|| "--services requires a path (profile dir or file)".to_owned())?
-        .clone();
-    let registry = ServiceRegistry::load_path(Path::new(&value))
-        .map_err(|e| format!("--services {value}: {e}"))?;
-    args.drain(i..=i + 1);
-    set_active_registry(Some(Arc::new(registry)));
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

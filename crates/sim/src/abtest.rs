@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::engine::{OffloadConfig, SimConfig, Simulator};
 use crate::metrics::SimMetrics;
-use crate::trace::{trace_reuse_enabled, FrozenTrace};
+use crate::trace::FrozenTrace;
 
 /// The outcome of an A/B comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -68,8 +68,7 @@ pub fn run_ab(control: &SimConfig, offload: OffloadConfig) -> AbResult {
     // Both arms share the seed and workload by construction, so one
     // frozen trace (sized for the faster treatment arm) serves both —
     // the experiment's stochastic input is sampled once, not twice.
-    let trace = trace_reuse_enabled()
-        .then(|| Arc::new(FrozenTrace::for_config(&treatment_cfg)));
+    let trace = Some(Arc::new(FrozenTrace::for_config(&treatment_cfg)));
     let (baseline, treatment) = std::thread::scope(|scope| {
         let base_trace = trace.clone();
         let base = scope.spawn(move || {

@@ -170,15 +170,9 @@ pub fn simulate(study: &CaseStudy, seed: u64) -> Result<(CaseStudyValidation, Ab
 }
 
 /// Runs all three case studies (Table 6), fanning the independent A/B
-/// experiments over the process-wide default pool.
-#[must_use]
-pub fn validate_all(seed: u64) -> Vec<CaseStudyValidation> {
-    validate_all_with(&crate::parallel::ExecPool::default(), seed)
-}
-
-/// [`validate_all`] with an explicit worker pool. Each case study is an
-/// independent seeded A/B experiment, so results are identical at any
-/// pool width and always come back in Table 6 row order.
+/// experiments over `pool`. Each case study is an independent seeded
+/// A/B experiment, so results are identical at any pool width and
+/// always come back in Table 6 row order.
 #[must_use]
 pub fn validate_all_with(
     pool: &crate::parallel::ExecPool,

@@ -12,7 +12,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use accelerometer::{AccelerationStrategy, DriverMode, ThreadingDesign};
+use accelerometer::{AccelerationStrategy, DriverMode, ModelError, ThreadingDesign};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -24,7 +24,7 @@ use crate::fault::{FaultPlan, FaultState, RecoveryPolicy};
 use crate::metrics::{latency_key, FaultMetrics, LatencyStats, SimMetrics};
 use crate::parallel::derive_seed;
 use crate::time::SimTime;
-use crate::trace::{FrozenTrace, SampleBank};
+use crate::trace::FrozenTrace;
 use crate::workload::{RequestSampler, WorkItem, WorkloadSpec};
 
 /// Accelerator-side configuration for a simulation run.
@@ -135,6 +135,35 @@ impl SimConfig {
             self.context_switch_cycles,
             "context switch cost must be finite and non-negative",
         )?;
+        let workload = &self.workload;
+        ensure(
+            workload.non_kernel_cycles.is_finite() && workload.non_kernel_cycles >= 0.0,
+            "non_kernel_cycles",
+            workload.non_kernel_cycles,
+            "non-kernel cycles must be finite and non-negative",
+        )?;
+        let cb = workload.cycles_per_byte.get();
+        ensure(
+            cb.is_finite() && cb >= 0.0,
+            "cycles_per_byte",
+            cb,
+            "cycles per byte must be finite and non-negative",
+        )?;
+        if let Err(err) = workload.granularity.validate() {
+            let (value, reason) = match err {
+                ModelError::NonMonotonicCdf { index } => (
+                    index as f64,
+                    "granularity CDF knot out of order: bytes must strictly increase, \
+                     fractions must not decrease, stay within [0, 1] and end at 1",
+                ),
+                _ => (0.0, "granularity CDF needs at least one knot"),
+            };
+            return Err(SimError::InvalidConfig {
+                field: "granularity",
+                value,
+                reason,
+            });
+        }
         if let Some(o) = &self.offload {
             ensure(
                 o.peak_speedup.is_finite() && o.peak_speedup > 0.0,
@@ -160,6 +189,14 @@ impl SimConfig {
                 o.dispatch_pollution,
                 "dispatch pollution must be finite and non-negative",
             )?;
+            if let DeviceKind::Shared { servers } = o.device {
+                ensure(
+                    servers > 0,
+                    "servers",
+                    servers as f64,
+                    "a shared device needs at least one server",
+                )?;
+            }
             if let Some(min) = o.min_offload_bytes {
                 ensure(
                     min.is_finite() && min >= 0.0,
@@ -299,9 +336,6 @@ pub struct EngineStats {
     pub heap_sift_ups: u64,
     /// Entry moves the event heap performed sifting pops down.
     pub heap_sift_downs: u64,
-    /// Sample-bank refills (blocks of requests pre-drawn from the
-    /// engine RNG) — how many times the draw loop ran.
-    pub bank_refills: u64,
     /// Requests replayed from an adopted frozen trace instead of drawn
     /// live; with cross-point reuse this is where sweep sampling cost
     /// goes.
@@ -413,15 +447,13 @@ pub struct Simulator {
     /// bit-identical to `cfg.workload.draw_request`.
     sampler: RequestSampler,
     rng: StdRng,
-    /// Level-1 sampling: a bank of pre-drawn requests refilled in blocks
-    /// so the event loop consumes plain data instead of interleaving
-    /// RNG/`ln`/quantile calls with event handling. Bit-identical to
-    /// per-request drawing at any block size.
-    bank: SampleBank,
-    /// Level-2 sampling: an adopted frozen trace (shared across sweep
-    /// grid points) plus the index of the next request to take from it.
-    /// When the prefix runs out, the engine switches `rng` to the
-    /// trace's continuation state and falls back to the bank.
+    /// One request's raw draw (`RequestSampler::raw_stride` `f64`s),
+    /// reused by every live draw so steady state allocates nothing.
+    raw: Vec<f64>,
+    /// An adopted frozen trace (shared across sweep grid points) plus
+    /// the index of the next request to take from it. When the prefix
+    /// runs out, the engine switches `rng` to the trace's continuation
+    /// state and draws live.
     trace: Option<(Arc<FrozenTrace>, usize)>,
     now: SimTime,
     seq: u64,
@@ -582,7 +614,7 @@ impl Simulator {
             events: EventQueue::with_capacity(2 * cfg.threads + 8),
             next_event: None,
             rng,
-            bank: SampleBank::new(),
+            raw: Vec::new(),
             trace,
             cfg,
             primed: false,
@@ -591,7 +623,7 @@ impl Simulator {
 
     /// Rebuilds the engine for `cfg` while keeping every heap
     /// allocation acquired so far — the request slab, thread work
-    /// queues, event heap, sample bank, and latency keys are cleared in
+    /// queues, event heap, and latency keys are cleared in
     /// place rather than freed. Sweeps (`loadsweep`, `faultsweep`) and
     /// sharded runs drive many config points through one engine this way
     /// instead of rebuilding per point.
@@ -626,7 +658,6 @@ impl Simulator {
     ) -> Result<()> {
         cfg.validate()?;
         self.trace = check_trace(&cfg, trace)?;
-        self.bank.clear();
         self.device = cfg
             .offload
             .as_ref()
@@ -676,14 +707,6 @@ impl Simulator {
         self.primed = false;
         self.cfg = cfg;
         Ok(())
-    }
-
-    /// Overrides the sample bank's refill block size (test hook).
-    /// Every block size is bit-identical — size 1 degenerates to the
-    /// historical draw-per-request path — which the trace proptests pin.
-    #[doc(hidden)]
-    pub fn set_bank_block(&mut self, block: usize) {
-        self.bank.set_block(block);
     }
 
     /// Schedules `event` at `time`, routing it through the one-slot heap
@@ -1207,25 +1230,25 @@ impl Simulator {
         let request = self.slab.alloc(start);
         self.live_requests += 1;
         self.peak_live_requests = self.peak_live_requests.max(self.live_requests);
-        // Expand the next pre-drawn request into the thread's (drained)
-        // item buffer so its allocation is reused request after request.
-        // Disjoint field borrows keep the sampler, RNG, bank, and buffer
-        // independent. Priority: adopted frozen trace, then the bank
-        // (which refills itself from the RNG in blocks).
+        // Expand the next request into the thread's (drained) item
+        // buffer so its allocation is reused request after request.
+        // Disjoint field borrows keep the sampler, RNG, raw draw, and
+        // buffer independent. The adopted frozen trace comes first; past
+        // it (or without one), the request is drawn live.
         let Self {
             ref sampler,
             ref mut rng,
             ref mut threads,
-            ref mut bank,
+            ref mut raw,
             ref mut trace,
             ref mut trace_replayed,
             ..
         } = *self;
         let queue = &mut threads[thread].items;
         queue.head = 0;
+        queue.buf.clear();
         match trace {
             Some((frozen, next)) => {
-                queue.buf.clear();
                 sampler.expand(frozen.request(*next), &mut queue.buf);
                 *next += 1;
                 *trace_replayed += 1;
@@ -1238,7 +1261,11 @@ impl Simulator {
                     *trace = None;
                 }
             }
-            None => bank.pop_into(sampler, rng, &mut queue.buf),
+            None => {
+                raw.clear();
+                sampler.draw_raw(rng, raw);
+                sampler.expand(raw, &mut queue.buf);
+            }
         }
         threads[thread].request = request;
     }
@@ -1305,7 +1332,6 @@ impl Simulator {
             multi_event_batches: self.multi_event_batches,
             heap_sift_ups: self.events.sift_ups(),
             heap_sift_downs: self.events.sift_downs(),
-            bank_refills: self.bank.refills(),
             trace_requests_replayed: self.trace_replayed,
         };
         (metrics, stats)
@@ -1343,7 +1369,6 @@ impl Simulator {
             multi_event_batches: self.multi_event_batches,
             heap_sift_ups: self.events.sift_ups(),
             heap_sift_downs: self.events.sift_downs(),
-            bank_refills: self.bank.refills(),
             trace_requests_replayed: self.trace_replayed,
         };
         let (device_busy, device_queue_delay_total, device_offloads, device_servers) = self
@@ -1911,19 +1936,17 @@ mod tests {
     }
 
     #[test]
-    fn sampling_stats_attribute_requests_to_bank_or_trace() {
+    fn sampling_stats_count_replayed_trace_requests() {
         let cfg = base_config();
-        // Without a trace every request comes from the bank.
+        // Without a trace every request is drawn live.
         let (metrics, stats) = Simulator::new(cfg.clone()).run_instrumented();
-        assert!(stats.bank_refills > 0);
         assert_eq!(stats.trace_requests_replayed, 0);
-        // A full-length frozen trace absorbs every draw: no refills, and
-        // the replay counter covers the completed requests.
+        // A full-length frozen trace absorbs every draw: the replay
+        // counter covers the completed requests.
         let trace = Arc::new(FrozenTrace::for_config(&cfg));
         let engine = Simulator::try_new_with_trace(cfg, Some(trace)).expect("trace matches");
         let (traced_metrics, traced_stats) = engine.run_instrumented();
         assert_eq!(metrics, traced_metrics);
-        assert_eq!(traced_stats.bank_refills, 0);
         assert!(traced_stats.trace_requests_replayed >= traced_metrics.completed_requests);
     }
 
@@ -1949,6 +1972,56 @@ mod tests {
             let err = expect_invalid(cfg);
             assert!(err.to_string().contains(what), "{what}: {err}");
         }
+    }
+
+    /// Asserts `cfg` is rejected naming `field`, before any event runs.
+    fn assert_rejects(cfg: SimConfig, field: &str) {
+        match expect_invalid(cfg) {
+            SimError::InvalidConfig { field: got, .. } => assert_eq!(got, field),
+            other => panic!("expected InvalidConfig for {field}, got {other}"),
+        }
+    }
+
+    fn cdf_from_json(points: &str) -> GranularityCdf {
+        serde_json::from_str(&format!(r#"{{"points": {points}}}"#)).expect("CDF JSON parses")
+    }
+
+    #[test]
+    fn shared_device_without_servers_is_rejected() {
+        let mut cfg = base_config();
+        cfg.offload = Some(OffloadConfig {
+            device: DeviceKind::Shared { servers: 0 },
+            ..faulty_offload()
+        });
+        assert_rejects(cfg, "servers");
+    }
+
+    #[test]
+    fn empty_granularity_cdf_is_rejected() {
+        let mut cfg = base_config();
+        cfg.workload.granularity = cdf_from_json("[]");
+        assert_rejects(cfg, "granularity");
+    }
+
+    #[test]
+    fn descending_granularity_cdf_is_rejected() {
+        let mut cfg = base_config();
+        cfg.workload.granularity = cdf_from_json("[[1024.0, 0.5], [256.0, 1.0]]");
+        assert_rejects(cfg, "granularity");
+    }
+
+    #[test]
+    fn negative_cycles_per_byte_is_rejected() {
+        let mut cfg = base_config();
+        cfg.workload.cycles_per_byte = cycles_per_byte(-2.0);
+        assert_rejects(cfg, "cycles_per_byte");
+    }
+
+    #[test]
+    fn negative_non_kernel_cycles_is_rejected() {
+        let mut cfg = base_config();
+        cfg.workload.non_kernel_cycles = -3_000.0;
+        assert_rejects(cfg, "non_kernel_cycles");
     }
 
     #[test]

@@ -159,19 +159,9 @@ pub struct FaultSweepReport {
     pub outcomes: Vec<PolicyOutcome>,
 }
 
-/// Runs the sweep on the process-wide default pool.
-///
-/// # Errors
-///
-/// Returns [`crate::SimError::InvalidConfig`] when the base
-/// configuration, the plan, any policy, or the SLO ratio is invalid.
-pub fn run_fault_sweep(scenario: &FaultScenario) -> Result<FaultSweepReport> {
-    run_fault_sweep_with(&ExecPool::default(), scenario)
-}
-
-/// [`run_fault_sweep`] with an explicit worker pool. Each run is an
-/// independent seeded simulation and results are assembled in input
-/// order, so the report is identical at any pool width.
+/// Runs the sweep on `pool`. Each run is an independent seeded
+/// simulation and results are assembled in input order, so the report
+/// is identical at any pool width.
 ///
 /// # Errors
 ///
@@ -207,13 +197,13 @@ pub fn run_fault_sweep_with(pool: &ExecPool, scenario: &FaultScenario) -> Result
     // Every run shares the base seed and workload — faults and recovery
     // policies draw from a separate derived RNG stream — so the whole
     // sweep samples its workload trace once.
-    let traces = TraceStore::for_sweep();
-    if let Some(store) = &traces {
-        store.prewarm(&configs[0]);
-    }
-    let mut results = pool.map_init(&configs, || None, |slot, _, cfg| {
-        run_point(slot, cfg, traces.as_ref())
-    });
+    let traces = TraceStore::eager();
+    traces.prewarm(&configs[0]);
+    let mut results = pool.map_init(
+        &configs,
+        || None,
+        |slot, _, cfg| run_point(slot, cfg, Some(&traces)),
+    );
     let healthy = results.remove(0);
     let outcomes = scenario
         .policies
@@ -377,7 +367,7 @@ impl FallbackValidationRow {
     }
 }
 
-/// The failure probabilities [`validate_fallback`] sweeps.
+/// The failure probabilities [`validate_fallback_with`] sweeps.
 pub const FALLBACK_VALIDATION_PROBABILITIES: [f64; 4] = [0.0, 0.2, 0.5, 0.8];
 
 fn fallback_validation_row(seed: u64, p: f64) -> FallbackValidationRow {
@@ -464,17 +454,11 @@ fn fallback_validation_row(seed: u64, p: f64) -> FallbackValidationRow {
     }
 }
 
-/// Runs the fallback-capacity validation (Table-6 style) on the
-/// process-wide default pool: one row per probability in
-/// [`FALLBACK_VALIDATION_PROBABILITIES`].
-#[must_use]
-pub fn validate_fallback(seed: u64) -> Vec<FallbackValidationRow> {
-    validate_fallback_with(&ExecPool::default(), seed)
-}
-
-/// [`validate_fallback`] with an explicit worker pool. Each row is an
-/// independent seeded A/B experiment, so results are identical at any
-/// pool width and always come back in probability order.
+/// Runs the fallback-capacity validation (Table-6 style) on `pool`: one
+/// row per probability in [`FALLBACK_VALIDATION_PROBABILITIES`]. Each
+/// row is an independent seeded A/B experiment, so results are
+/// identical at any pool width and always come back in probability
+/// order.
 #[must_use]
 pub fn validate_fallback_with(pool: &ExecPool, seed: u64) -> Vec<FallbackValidationRow> {
     pool.map(&FALLBACK_VALIDATION_PROBABILITIES, |_, p| {
@@ -496,7 +480,8 @@ mod tests {
 
     #[test]
     fn recovery_beats_no_recovery_under_degradation() {
-        let report = run_fault_sweep(&demo_scenario(20_260_806)).expect("valid scenario");
+        let report = run_fault_sweep_with(&ExecPool::new(2), &demo_scenario(20_260_806))
+            .expect("valid scenario");
         let none = outcome(&report, "no-recovery");
         let retry = outcome(&report, "retry");
         let recovered = outcome(&report, "retry-fallback");
@@ -542,7 +527,7 @@ mod tests {
         let mut scenario = demo_scenario(20_260_807);
         scenario.plan.degradation.clear();
         scenario.plan.failure_probability = 0.35;
-        let report = run_fault_sweep(&scenario).expect("valid scenario");
+        let report = run_fault_sweep_with(&ExecPool::new(2), &scenario).expect("valid scenario");
         for name in ["no-recovery", "retry", "retry-fallback"] {
             let check = outcome(&report, name)
                 .model_check
@@ -560,13 +545,14 @@ mod tests {
         assert!(outcome(&report, "admission").model_check.is_none());
         assert!(outcome(&report, "full").model_check.is_none());
         // The demo's outage window, by contrast, gates every check off.
-        let windowed = run_fault_sweep(&demo_scenario(20_260_807)).expect("valid scenario");
+        let windowed = run_fault_sweep_with(&ExecPool::new(2), &demo_scenario(20_260_807))
+            .expect("valid scenario");
         assert!(windowed.outcomes.iter().all(|o| o.model_check.is_none()));
     }
 
     #[test]
     fn fallback_validation_matches_model_within_tolerance() {
-        let rows = validate_fallback(20_260_807);
+        let rows = validate_fallback_with(&ExecPool::new(2), 20_260_807);
         assert_eq!(rows.len(), FALLBACK_VALIDATION_PROBABILITIES.len());
         for row in &rows {
             assert!(
@@ -606,15 +592,15 @@ mod tests {
     fn invalid_scenarios_are_rejected_up_front() {
         let mut scenario = demo_scenario(1);
         scenario.slo_min_p99_ratio = 0.0;
-        assert!(run_fault_sweep(&scenario).is_err());
+        assert!(run_fault_sweep_with(&ExecPool::new(2), &scenario).is_err());
 
         let mut scenario = demo_scenario(1);
         scenario.plan.failure_probability = 7.0;
-        assert!(run_fault_sweep(&scenario).is_err());
+        assert!(run_fault_sweep_with(&ExecPool::new(2), &scenario).is_err());
 
         let mut scenario = demo_scenario(1);
         scenario.policies[0].policy.timeout_cycles = Some(f64::NAN);
-        assert!(run_fault_sweep(&scenario).is_err());
+        assert!(run_fault_sweep_with(&ExecPool::new(2), &scenario).is_err());
     }
 
     #[test]

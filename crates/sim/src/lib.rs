@@ -62,20 +62,17 @@ pub mod workload;
 
 pub use abtest::{run_ab, AbResult};
 pub use calibrate::{CalibratedKernel, Calibrator, PairedKernel};
-pub use casestudy::{
-    simulate, validate_all, validate_all_with, CaseStudyValidation, CASE_STUDY_NAMES,
-};
+pub use casestudy::{simulate, validate_all_with, CaseStudyValidation, CASE_STUDY_NAMES};
 pub use device::{Device, DeviceKind};
 pub use error::SimError;
 pub use fault::{DegradationWindow, FaultPlan, RecoveryPolicy};
 pub use faultsweep::{
-    run_fault_sweep, run_fault_sweep_with, validate_fallback, validate_fallback_with,
+    run_fault_sweep_with, validate_fallback_with,
     FallbackValidationRow, FaultModelCheck, FaultScenario, FaultSweepReport, NamedPolicy,
     PolicyOutcome, FALLBACK_VALIDATION_PROBABILITIES,
 };
 pub use loadsweep::{
-    concurrency_sweep, concurrency_sweep_with, device_capacity_sweep, device_capacity_sweep_with,
-    ConcurrencySweep, LoadPoint,
+    concurrency_sweep_with, device_capacity_sweep_with, ConcurrencySweep, LoadPoint,
 };
 pub use engine::{EngineStats, OffloadConfig, SimConfig, Simulator};
 pub use metrics::{latency_key, FaultMetrics, LatencyStats, SimMetrics};
@@ -85,4 +82,4 @@ pub use shard::{
     set_default_shards, ShardPlan, ShardStats,
 };
 pub use time::SimTime;
-pub use trace::{set_trace_reuse, trace_reuse_enabled, FrozenTrace, TraceStore};
+pub use trace::{FrozenTrace, TraceStore};

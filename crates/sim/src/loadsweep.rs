@@ -49,17 +49,15 @@ pub fn concurrency_sweep_with(
     // count varies), so one frozen trace serves the whole grid. Prewarm
     // it sized for the deepest pool so the trace length is deterministic
     // regardless of which worker reaches the store first.
-    let traces = TraceStore::for_sweep();
-    if let Some(store) = &traces {
-        let mut probe = base.clone();
-        probe.threads = runnable
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or(base.threads)
-            .max(base.threads);
-        store.prewarm(&probe);
-    }
+    let traces = TraceStore::eager();
+    let mut probe = base.clone();
+    probe.threads = runnable
+        .iter()
+        .copied()
+        .max()
+        .unwrap_or(base.threads)
+        .max(base.threads);
+    traces.prewarm(&probe);
     let points = pool.map_init(
         &runnable,
         || None,
@@ -68,23 +66,16 @@ pub fn concurrency_sweep_with(
             cfg.threads = threads;
             LoadPoint {
                 x: threads,
-                metrics: run_point(slot, &cfg, traces.as_ref()),
+                metrics: run_point(slot, &cfg, Some(&traces)),
             }
         },
     );
     ConcurrencySweep { points, skipped }
 }
 
-/// Sweeps worker-thread concurrency over a base configuration. Thread
-/// counts below the core count are skipped (the engine requires full
-/// coverage); use [`concurrency_sweep_with`] to see which, and to run
-/// points on an explicit pool.
-#[must_use]
-pub fn concurrency_sweep(base: &SimConfig, thread_counts: &[usize]) -> Vec<LoadPoint> {
-    concurrency_sweep_with(&ExecPool::default(), base, thread_counts).points
-}
-
-/// [`device_capacity_sweep`] with an explicit worker pool.
+/// Sweeps the shared accelerator's server count (device capacity) over a
+/// base configuration that carries an offload, running points on
+/// `pool`. Configurations without an offload return an empty sweep.
 #[must_use]
 pub fn device_capacity_sweep_with(
     pool: &ExecPool,
@@ -97,10 +88,8 @@ pub fn device_capacity_sweep_with(
     let runnable: Vec<usize> = server_counts.iter().copied().filter(|&s| s > 0).collect();
     // Server count does not enter the trace key (seed, workload) or the
     // size estimate, so the base config prewarms a trace all points use.
-    let traces = TraceStore::for_sweep();
-    if let Some(store) = &traces {
-        store.prewarm(base);
-    }
+    let traces = TraceStore::eager();
+    traces.prewarm(base);
     pool.map_init(
         &runnable,
         || None,
@@ -111,18 +100,10 @@ pub fn device_capacity_sweep_with(
             }
             LoadPoint {
                 x: servers,
-                metrics: run_point(slot, &cfg, traces.as_ref()),
+                metrics: run_point(slot, &cfg, Some(&traces)),
             }
         },
     )
-}
-
-/// Sweeps the shared accelerator's server count (device capacity) over a
-/// base configuration that carries an offload. Configurations without an
-/// offload return an empty sweep.
-#[must_use]
-pub fn device_capacity_sweep(base: &SimConfig, server_counts: &[usize]) -> Vec<LoadPoint> {
-    device_capacity_sweep_with(&ExecPool::default(), base, server_counts)
 }
 
 /// The knee of a sweep: the smallest `x` achieving at least `fraction`
@@ -178,7 +159,8 @@ mod tests {
 
     #[test]
     fn concurrency_sweep_finds_the_pool_depth_knee() {
-        let points = concurrency_sweep(&base(), &[1, 2, 4, 8, 16, 32]);
+        let points =
+            concurrency_sweep_with(&ExecPool::new(2), &base(), &[1, 2, 4, 8, 16, 32]).points;
         // The sub-core count is skipped.
         assert_eq!(points.len(), 5);
         assert_eq!(points[0].x, 2);
@@ -202,7 +184,7 @@ mod tests {
             o.interface_latency = 100.0;
         }
         cfg.threads = cfg.cores;
-        let points = device_capacity_sweep(&cfg, &[1, 2, 4]);
+        let points = device_capacity_sweep_with(&ExecPool::new(2), &cfg, &[1, 2, 4]);
         assert_eq!(points.len(), 3);
         // More servers → less queueing and at least as much throughput.
         assert!(points[0].metrics.mean_queue_delay > points[2].metrics.mean_queue_delay);
@@ -216,7 +198,7 @@ mod tests {
     fn capacity_sweep_requires_an_offload() {
         let mut cfg = base();
         cfg.offload = None;
-        assert!(device_capacity_sweep(&cfg, &[1, 2]).is_empty());
+        assert!(device_capacity_sweep_with(&ExecPool::new(2), &cfg, &[1, 2]).is_empty());
     }
 
     #[test]
@@ -232,8 +214,6 @@ mod tests {
         assert_eq!(sweep.skipped, vec![1, 1]);
         let xs: Vec<usize> = sweep.points.iter().map(|p| p.x).collect();
         assert_eq!(xs, vec![2, 4, 8]);
-        // The convenience wrapper keeps its historical skip-silently shape.
-        assert_eq!(concurrency_sweep(&cfg, &[1, 2]).len(), 1);
     }
 
     #[test]

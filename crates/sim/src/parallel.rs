@@ -12,12 +12,12 @@
 //! outputs always preserve input order, making `--jobs 1` and
 //! `--jobs N` byte-identical.
 
-pub use accelerometer::exec::{available_jobs, default_jobs, set_default_jobs, ExecPool};
+pub use accelerometer::exec::{available_jobs, ExecPool};
 
 use crate::engine::SimConfig;
 use crate::metrics::SimMetrics;
 use crate::shard::run_point;
-use crate::trace::{trace_reuse_enabled, TraceStore};
+use crate::trace::TraceStore;
 
 /// Derives a statistically independent child seed from a root seed and
 /// a job index (splitmix64 over `root ^ index·φ`), so replica studies
@@ -41,24 +41,22 @@ pub fn run_batch(pool: &ExecPool, configs: &[SimConfig]) -> Vec<SimMetrics> {
     // Batch configs usually carry distinct seeds (replicas), where a
     // draw-once-use-once frozen trace is pure overhead — so the store
     // serves only (seed, workload) pairs that appear more than once,
-    // prewarmed here; unique configs draw live through their banks.
-    let traces = trace_reuse_enabled()
-        .then(|| {
-            let store = TraceStore::prewarmed_only();
-            for (i, cfg) in configs.iter().enumerate() {
-                let duplicated = configs[..i]
-                    .iter()
-                    .any(|c| c.seed == cfg.seed && c.workload == cfg.workload);
-                if duplicated {
-                    store.prewarm(cfg);
-                }
-            }
-            store
-        })
-        .filter(|store| store.cached() > 0);
-    pool.map_init(configs, || None, |slot, _, cfg| {
-        run_point(slot, cfg, traces.as_ref())
-    })
+    // prewarmed here; unique configs draw live.
+    let store = TraceStore::prewarmed_only();
+    for (i, cfg) in configs.iter().enumerate() {
+        let duplicated = configs[..i]
+            .iter()
+            .any(|c| c.seed == cfg.seed && c.workload == cfg.workload);
+        if duplicated {
+            store.prewarm(cfg);
+        }
+    }
+    let traces = (store.cached() > 0).then_some(store);
+    pool.map_init(
+        configs,
+        || None,
+        |slot, _, cfg| run_point(slot, cfg, traces.as_ref()),
+    )
 }
 
 /// Runs `replicas` copies of `base` whose seeds are derived from

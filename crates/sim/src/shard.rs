@@ -300,7 +300,6 @@ fn merge(cfg: &SimConfig, plan: ShardPlan, outputs: Vec<ShardOutput>) -> (SimMet
         engine.multi_event_batches += out.stats.multi_event_batches;
         engine.heap_sift_ups += out.stats.heap_sift_ups;
         engine.heap_sift_downs += out.stats.heap_sift_downs;
-        engine.bank_refills += out.stats.bank_refills;
         engine.trace_requests_replayed += out.stats.trace_requests_replayed;
         per_shard_events.push(out.stats.events_processed);
         per_shard_peak_live.push(out.stats.peak_live_requests);

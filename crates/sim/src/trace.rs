@@ -1,175 +1,52 @@
-//! The two-level sampling pipeline: trace banks and frozen traces.
+//! Frozen traces: request draws hoisted out of the event loop.
 //!
-//! PR 6 measured that ~40% of per-event cost in the engine is RNG / `ln`
-//! / inverse-CDF draws whose *values* are frozen by the bit-exactness
-//! contract. Frozen values do not mean a frozen *schedule*, though — the
-//! engine consumes its workload RNG stream only through request draws,
-//! and the i-th request drawn is always the i-th block of that stream
-//! regardless of cores, threads, offload design, or fault plan (fault
-//! RNG is a separate derived stream). Draws can therefore be hoisted out
-//! of the event loop, and across sweep grids computed once instead of
-//! once per point, without changing a single output byte.
+//! The engine consumes its workload RNG stream only through request
+//! draws, and the i-th request drawn is always the i-th block of that
+//! stream regardless of cores, threads, offload design, or fault plan
+//! (fault RNG is a separate derived stream). Draws can therefore be made
+//! once, ahead of the run, and shared by every run of a sweep that has
+//! the same seed and workload, without changing a single output byte.
 //!
-//! Both levels store *raw draws*, not work items: per request, the
-//! fixed stride of `kernels_per_request + 1` `f64`s that
-//! [`RequestSampler::draw_raw`] writes (the host chunk, then one byte
-//! count per kernel). The engine expands request `i` with
+//! A [`FrozenTrace`] (per seed × workload, behind `Arc`) stores *raw
+//! draws*, not work items: per request, the fixed stride of
+//! `kernels_per_request + 1` `f64`s that [`RequestSampler::draw_raw`]
+//! writes (the host chunk, then one byte count per kernel), plus the RNG
+//! state *after* the prefix. The engine expands request `i` with
 //! [`RequestSampler::expand`] straight into the thread's item buffer
 //! when it begins the request. A raw request costs `8·(k + 1)` bytes
 //! against `24·(2k + 1)` for its expanded `WorkItem`s plus an offset per
 //! request, so a one-kernel trace shrinks from 80 to 16 bytes per
 //! request.
 //!
-//! 1. **[`SampleBank`]** (per engine): refills blocks of raw draws in
-//!    one tight loop, so the monomorphized `advance` loop consumes plain
-//!    data instead of interleaving `StdRng`/`ln`/quantile calls with
-//!    event handling. Same values in the same order; it is also what
-//!    the engine falls back to when an adopted [`FrozenTrace`] runs out.
-//!    Shard engines fill their banks independently from their
-//!    decorrelated seeds. (On the 1-core dev container the bank alone
-//!    is a measured 2–4% *loss* on the engine microbenches — see
-//!    `EXPERIMENTS.md`; level 2 is where the sampling tax is actually
-//!    paid down.)
-//! 2. **[`FrozenTrace`]** (per seed × workload, behind `Arc`): an
-//!    immutable pre-drawn request prefix plus the RNG state *after* the
-//!    prefix. Sweep runners draw it once and install it at every grid
-//!    point that shares the seed and workload (only offload / policy /
-//!    fault parameters differ), turning O(points × draws) sampling into
-//!    O(draws) per sweep. A run that outlives the prefix resumes live
-//!    banked drawing from the continuation RNG state — bit-identical to
-//!    never having had the trace, so the prefix length is a pure
-//!    performance knob.
+//! Sweep runners draw a trace once and install it at every grid point
+//! that shares the seed and workload (only offload / policy / fault
+//! parameters differ), turning O(points × draws) sampling into O(draws)
+//! per sweep. A run without a trace, or one that outlives the prefix,
+//! draws each request live with the same `draw_raw` + `expand` pair —
+//! from the continuation RNG state in the second case, so it is
+//! bit-identical to never having had the trace and the prefix length is
+//! a pure performance knob.
+//!
+//! [`RequestSampler::draw_raw`]: crate::workload::RequestSampler::draw_raw
+//! [`RequestSampler::expand`]: crate::workload::RequestSampler::expand
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::engine::SimConfig;
-use crate::workload::{RequestSampler, WorkItem, WorkloadSpec};
-
-/// Requests per [`SampleBank`] refill. Big enough that the refill branch
-/// is cold in `begin_request`; small enough that a bank is a few KiB and
-/// stays in L1 while the engine drains it. Any value ≥ 1 is bit-identical
-/// (pinned by proptest); 8/64/256 all measured within noise of each
-/// other on the 1-core container, so 64 is kept as the cache-friendly
-/// middle.
-const BANK_BLOCK: usize = 64;
+use crate::workload::WorkloadSpec;
 
 /// Upper bound on a frozen trace's request count. Each request holds
 /// `8·(k + 1)` bytes for `k = kernels_per_request`, so a full trace is
 /// 16 MB at the typical one kernel per request. Runs that need more fall
-/// back to banked live drawing after the prefix — correct, just less
+/// back to live drawing after the prefix — correct, just less
 /// amortized.
 const MAX_TRACE_REQUESTS: usize = 1 << 20;
 
-/// Process-wide switch for cross-point trace reuse in sweep runners
-/// (level 2). On by default; `accelctl --trace-reuse off` clears it so
-/// CI can diff both paths. Level 1 (the bank) has no switch — it is the
-/// engine's draw path.
-static TRACE_REUSE: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables cross-point frozen-trace reuse process-wide.
-/// Both settings produce byte-identical output (that is the point of
-/// the `tier1.sh` smoke); `off` exists to prove it and to measure the
-/// sampling tax.
-pub fn set_trace_reuse(enabled: bool) {
-    TRACE_REUSE.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether sweep runners currently reuse frozen traces across grid
-/// points.
-#[must_use]
-pub fn trace_reuse_enabled() -> bool {
-    TRACE_REUSE.load(Ordering::Relaxed)
-}
-
-/// A block of pre-drawn raw requests owned by one engine (level 1).
-///
-/// The refill loop consumes the engine RNG in exactly the order
-/// per-request drawing would, so popping request `i` yields
-/// bit-identical items to drawing it inline.
-#[derive(Debug, Clone)]
-pub(crate) struct SampleBank {
-    /// `filled` requests' raw draws, one stride each.
-    raw: Vec<f64>,
-    /// Offset of the next un-popped request in `raw`.
-    next: usize,
-    /// Requests per refill (testable; [`BANK_BLOCK`] by default).
-    block: usize,
-    /// Refills performed since the last [`clear`](Self::clear) —
-    /// surfaced as `EngineStats::bank_refills`.
-    refills: u64,
-}
-
-impl SampleBank {
-    pub(crate) fn new() -> Self {
-        Self {
-            raw: Vec::new(),
-            next: 0,
-            block: BANK_BLOCK,
-            refills: 0,
-        }
-    }
-
-    /// Drops all buffered requests (keeping the allocation) so the next
-    /// pop refills from the current RNG state. Must be called on engine
-    /// reset: buffered draws belong to the old stream.
-    pub(crate) fn clear(&mut self) {
-        self.raw.clear();
-        self.next = 0;
-        self.refills = 0;
-    }
-
-    /// Refills performed since the last [`clear`](Self::clear).
-    pub(crate) fn refills(&self) -> u64 {
-        self.refills
-    }
-
-    /// Overrides the refill block size (minimum 1) and discards buffered
-    /// draws. Test hook: block size 1 degenerates to the historical
-    /// draw-per-request path, and proptests pin that every block size is
-    /// bit-identical.
-    pub(crate) fn set_block(&mut self, block: usize) {
-        self.block = block.max(1);
-        self.clear();
-    }
-
-    /// Expands the next pre-drawn request into `out` (cleared first),
-    /// refilling the bank from `rng` when empty.
-    #[inline(always)]
-    pub(crate) fn pop_into(
-        &mut self,
-        sampler: &RequestSampler,
-        rng: &mut StdRng,
-        out: &mut Vec<WorkItem>,
-    ) {
-        if self.next == self.raw.len() {
-            self.refill(sampler, rng);
-        }
-        let end = self.next + sampler.raw_stride();
-        out.clear();
-        sampler.expand(&self.raw[self.next..end], out);
-        self.next = end;
-    }
-
-    /// The tight loop: `block` consecutive raw draws with nothing
-    /// between them. The buffer keeps its allocation, so steady state
-    /// allocates nothing.
-    #[cold]
-    fn refill(&mut self, sampler: &RequestSampler, rng: &mut StdRng) {
-        self.raw.clear();
-        for _ in 0..self.block {
-            sampler.draw_raw(rng, &mut self.raw);
-        }
-        self.next = 0;
-        self.refills += 1;
-    }
-}
-
-/// An immutable pre-drawn request trace for one (seed, workload) pair
-/// (level 2), shared across sweep grid points behind an `Arc`.
+/// An immutable pre-drawn request trace for one (seed, workload) pair,
+/// shared across sweep grid points behind an `Arc`.
 #[derive(Debug, Clone)]
 pub struct FrozenTrace {
     seed: u64,
@@ -242,7 +119,7 @@ impl FrozenTrace {
     }
 
     /// The `f64`s one request occupies: `kernels_per_request + 1`, as
-    /// in [`RequestSampler::raw_stride`].
+    /// in [`crate::workload::RequestSampler::raw_stride`].
     fn stride(&self) -> usize {
         self.workload.kernels_per_request + 1
     }
@@ -267,8 +144,8 @@ impl FrozenTrace {
     }
 
     /// The `i`-th pre-drawn request's raw draw, as
-    /// [`RequestSampler::draw_raw`] wrote it; expand it with
-    /// [`RequestSampler::expand`].
+    /// `RequestSampler::draw_raw` wrote it; expand it with
+    /// [`crate::workload::RequestSampler::expand`].
     ///
     /// # Panics
     ///
@@ -322,13 +199,6 @@ impl TraceStore {
             draw_on_miss: false,
             inner: Mutex::new(Vec::new()),
         }
-    }
-
-    /// An eager store for a sweep, or `None` when cross-point reuse is
-    /// globally disabled ([`set_trace_reuse`]).
-    #[must_use]
-    pub fn for_sweep() -> Option<Self> {
-        trace_reuse_enabled().then(Self::eager)
     }
 
     /// Draws and caches the trace for `cfg` (no-op if already cached).
@@ -402,46 +272,6 @@ mod tests {
         }
     }
 
-    /// Popping N requests through a bank — at any block size — must
-    /// yield the same items in the same order as N direct draws, and
-    /// leave the RNG in the same state.
-    #[test]
-    fn bank_pops_equal_direct_draws_at_any_block_size() {
-        for kernels in [0, 1, 3] {
-            let spec = workload(kernels);
-            let sampler = spec.sampler();
-            for block in [1, 2, 7, 64, 200] {
-                let mut direct_rng = StdRng::seed_from_u64(5);
-                let mut banked_rng = StdRng::seed_from_u64(5);
-                let mut bank = SampleBank::new();
-                bank.set_block(block);
-                let mut out = Vec::new();
-                for _ in 0..150 {
-                    let reference = spec.draw_request(&mut direct_rng);
-                    bank.pop_into(&sampler, &mut banked_rng, &mut out);
-                    assert_eq!(reference, out, "block {block}, kernels {kernels}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn bank_clear_discards_buffered_draws() {
-        let spec = workload(1);
-        let sampler = spec.sampler();
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut bank = SampleBank::new();
-        let mut out = Vec::new();
-        bank.pop_into(&sampler, &mut rng, &mut out);
-        bank.clear();
-        // After a clear + reseed the bank must replay the stream from
-        // the start, exactly like a fresh engine.
-        let mut rng = StdRng::seed_from_u64(1);
-        bank.pop_into(&sampler, &mut rng, &mut out);
-        let mut reference_rng = StdRng::seed_from_u64(1);
-        assert_eq!(spec.draw_request(&mut reference_rng), out);
-    }
-
     /// The defining property of a frozen trace: request i equals the
     /// i-th direct draw, and the resume RNG equals the direct RNG after
     /// those draws — so continuation draws line up too.
@@ -513,16 +343,5 @@ mod tests {
         assert_eq!(store.cached(), 1);
         let t = store.get(&cfg).expect("prewarmed trace is served");
         assert!(t.matches(&cfg));
-    }
-
-    #[test]
-    fn reuse_toggle_round_trips() {
-        assert!(trace_reuse_enabled(), "reuse defaults to on");
-        set_trace_reuse(false);
-        assert!(!trace_reuse_enabled());
-        assert!(TraceStore::for_sweep().is_none());
-        set_trace_reuse(true);
-        assert!(trace_reuse_enabled());
-        assert!(TraceStore::for_sweep().is_some());
     }
 }

@@ -1,11 +1,9 @@
-//! Property-based proof of the sampling pipeline's bit-exactness: runs
-//! that consume pre-drawn requests — through the engine's sample bank at
-//! any block size, or through an adopted frozen trace of any prefix
-//! length, sharded or not, faulted or not — must produce `SimMetrics`
-//! and `EngineStats` identical to direct per-request drawing. The only
-//! counters allowed to differ are `bank_refills` and
-//! `trace_requests_replayed`, which exist precisely to report *where*
-//! requests came from.
+//! Property-based proof of the frozen trace's bit-exactness: runs that
+//! consume pre-drawn requests through an adopted frozen trace of any
+//! prefix length, sharded or not, faulted or not, must produce
+//! `SimMetrics` and `EngineStats` identical to live per-request drawing.
+//! The only counter allowed to differ is `trace_requests_replayed`, which
+//! exists precisely to report *where* requests came from.
 
 use std::sync::Arc;
 
@@ -22,11 +20,11 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Strips the sampling-provenance counters, which report which pipeline
-/// level supplied each request and so differ by construction between
-/// the compared paths. Everything else must match exactly.
+/// Strips the sampling-provenance counter, which reports whether the
+/// trace or a live draw supplied each request and so differs by
+/// construction between the compared paths. Everything else must match
+/// exactly.
 fn sans_provenance(mut stats: EngineStats) -> EngineStats {
-    stats.bank_refills = 0;
     stats.trace_requests_replayed = 0;
     stats
 }
@@ -174,39 +172,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Level 1: the sample bank is a pure reordering of *when* draws
-    /// happen, never of what they produce — every refill block size
-    /// (1 degenerates to the historical draw-per-request schedule)
-    /// yields identical metrics and engine counters.
-    #[test]
-    fn banked_runs_are_block_size_invariant(
-        workload in workload_strategy(),
-        design in design_strategy(),
-        faults in fault_strategy(50_000.0 * 300.0),
-        seed in 0u64..1_000,
-    ) {
-        let cfg = config(workload, seed, design, faults);
-        let mut reference = None;
-        for block in [1usize, 3, 64, 1_000] {
-            let mut sim = Simulator::try_new(cfg.clone()).expect("valid config");
-            sim.set_bank_block(block);
-            let got = sim.run_instrumented_in_place();
-            match &reference {
-                None => reference = Some(got),
-                Some(want) => {
-                    prop_assert_eq!(&got.0, &want.0, "metrics diverged at block {}", block);
-                    prop_assert_eq!(
-                        sans_provenance(got.1),
-                        sans_provenance(want.1),
-                        "stats diverged at block {}",
-                        block
-                    );
-                }
-            }
-        }
-    }
-
-    /// Level 2: adopting a frozen trace of *any* prefix length — empty,
+    /// Adopting a frozen trace of *any* prefix length — empty,
     /// shorter than the run (exercising the resume-RNG continuation),
     /// right-sized, or oversized — is bit-identical to direct drawing,
     /// at construction and across `reset_with_trace` reuse.

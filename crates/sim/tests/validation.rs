@@ -3,7 +3,11 @@
 //! reproduce the paper's numbers — including its headline claim that the
 //! model estimates the real speedup with ≤3.7% error.
 
-use accelerometer_sim::validate_all;
+use accelerometer_sim::{validate_all_with, CaseStudyValidation, ExecPool};
+
+fn validate_all(seed: u64) -> Vec<CaseStudyValidation> {
+    validate_all_with(&ExecPool::new(2), seed)
+}
 
 #[test]
 fn table6_reproduction() {

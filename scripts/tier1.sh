@@ -28,11 +28,11 @@ echo "== clippy (deny warnings, release) =="
 # release build above).
 cargo clippy --workspace --all-targets --release -- -D warnings
 
-echo "== --jobs smoke: tables table6 at widths 1 and 2 must match byte-for-byte =="
+echo "== --jobs smoke: accelctl tables table6 at widths 1 and 2 must match byte-for-byte =="
 out_dir="$(mktemp -d)"
 trap 'rm -rf "$out_dir"' EXIT
-./target/release/tables --jobs 1 table6 > "$out_dir/j1.txt"
-./target/release/tables --jobs 2 table6 > "$out_dir/j2.txt"
+./target/release/accelctl --jobs 1 tables table6 > "$out_dir/j1.txt"
+./target/release/accelctl --jobs 2 tables table6 > "$out_dir/j2.txt"
 cmp "$out_dir/j1.txt" "$out_dir/j2.txt"
 
 echo "== faults smoke: accelctl faults at widths 1 and 2 must match the committed fixture =="
@@ -69,16 +69,6 @@ grep '"fallbacks"' "$out_dir/faults_heavy_s1.json" | awk -F': ' \
 grep '"core_utilization"' "$out_dir/faults_heavy_s1.json" | awk -F': ' \
     '{ gsub(/,/, "", $2); if ($2 + 0.0 > 1.0) { print "core_utilization " $2 " exceeds 1.0"; exit 1 } }'
 
-echo "== trace-reuse smoke: accelctl faults with reuse on and off must match byte-for-byte =="
-# Cross-point frozen-trace reuse replays pre-drawn requests instead of
-# redrawing them at every sweep grid point; the toggle must be
-# unobservable in output bytes (sharded too, where each shard adopts a
-# trace for its derived seed).
-./target/release/accelctl --trace-reuse on faults > "$out_dir/faults_reuse_on.json"
-./target/release/accelctl --trace-reuse off faults > "$out_dir/faults_reuse_off.json"
-cmp "$out_dir/faults_reuse_on.json" "$out_dir/faults_reuse_off.json"
-cmp "$out_dir/faults_expected.json" "$out_dir/faults_reuse_on.json"
-
 echo "== isa smoke: accelctl --isa scalar and auto must match byte-for-byte =="
 # ISA dispatch may only change kernel wall-clock, never an output byte;
 # pinning the scalar tier through the CLI must be unobservable in any
@@ -107,7 +97,7 @@ cmp "$out_dir/faults_sharded_expected.json" "$out_dir/faults_svc_sharded.json"
 ./target/release/accelctl tables all > "$out_dir/tables_builtin.txt"
 ./target/release/accelctl --services configs/services tables all > "$out_dir/tables_svc.txt"
 cmp "$out_dir/tables_builtin.txt" "$out_dir/tables_svc.txt"
-./target/release/tables --services configs/services table6 > "$out_dir/t6_svc.txt"
+./target/release/accelctl --services configs/services tables table6 > "$out_dir/t6_svc.txt"
 cmp "$out_dir/j1.txt" "$out_dir/t6_svc.txt"
 
 echo "== characterize smoke: every pack's folded stacks are identical through --services =="
@@ -125,6 +115,14 @@ status=0
 ./target/release/accelctl characterize web --samples 1e18 > /dev/null 2>&1 || status=$?
 if [ "$status" -ne 1 ]; then
     echo "characterize --samples 1e18: expected exit 1, got $status"
+    exit 1
+fi
+
+echo "== sweep bound: an out-of-range --points is a structured error (exit 1) =="
+status=0
+./target/release/accelctl sweep configs/table6.json --axis peak-speedup --from 2 --to 32 --points 1e18 > /dev/null 2>&1 || status=$?
+if [ "$status" -ne 1 ]; then
+    echo "sweep --points 1e18: expected exit 1, got $status"
     exit 1
 fi
 

@@ -4,6 +4,7 @@
 use accelerometer_suite::bench::{figure, render_table, FIGURE_IDS, TABLE_IDS};
 use accelerometer_suite::fleet::params::{all_case_studies, all_recommendations};
 use accelerometer_suite::fleet::{profile, FunctionalityCategory, ServiceId};
+use accelerometer_suite::model::exec::ExecPool;
 use accelerometer_suite::model::{amdahl, project};
 
 /// §1 / §2.4: "an important ML microservice can speed up by only 49% even
@@ -108,7 +109,7 @@ fn compression_selection_fractions() {
 #[test]
 fn all_tables_and_figures_regenerate() {
     for id in TABLE_IDS.iter().filter(|id| **id != "table6") {
-        assert!(render_table(id).is_some(), "{id}");
+        assert!(render_table(&ExecPool::new(1), id).is_some(), "{id}");
     }
     for id in FIGURE_IDS {
         let text = figure(id).unwrap_or_else(|| panic!("{id}"));
